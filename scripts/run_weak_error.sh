@@ -2,7 +2,8 @@
 # Full weak-error study (six population sizes, 20000 replications each).
 # Runtime is about a minute per thread-count on one core; pass e.g.
 #   scripts/run_weak_error.sh --threads 4
-# to fan chunks out over processes. Results land in results/weak_error/.
+# to fan chunks out over threads (results do not change). Results land in
+# results/weak_error/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 python3 -m mfchain weak-error --config configs/weak_error.cfg \

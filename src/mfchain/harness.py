@@ -35,7 +35,8 @@ from .kolmogorov import (
 from .linearized import check_condition1, check_condition2, estimate_decay
 from .master import PropagatedObservable, master_residual_scan
 from .models import Model, make_model
-from .particles import CHUNK, gillespie_batch, mc_observable, run_chunks, sample_initial, simulate
+from .particles import (gillespie_batch, mc_moments, mc_observable, run_chunks,
+                        sample_initial, simulate)
 from .simplex import ScalarField, as_measure, barycenter, make_observable
 
 EXIT_PASS = 0
@@ -287,12 +288,10 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
     # initial configurations for every N, and the distinct ones among them
     counts_by_N, uniq_by_N, inv_by_N = {}, {}, {}
     for N in Ns:
-        blocks = [
-            sample_initial(mu0, N, seed, np.arange(lo, min(lo + CHUNK, R),
-                                                   dtype=np.uint64))
-            for lo in range(0, R, CHUNK)
-        ]
-        counts0 = np.concatenate(blocks, axis=0)
+        counts0 = np.concatenate(run_chunks(
+            lambda a, b, N=N: sample_initial(mu0, N, seed,
+                                             np.arange(a, b, dtype=np.uint64)),
+            R), axis=0)
         uniq, inv = np.unique(counts0, axis=0, return_inverse=True)
         counts_by_N[N], uniq_by_N[N], inv_by_N[N] = counts0, uniq, inv
 
@@ -314,28 +313,15 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
         U_all = U_table[inv_by_N[N]]                           # (R, T)
         counts0 = counts_by_N[N]
 
-        def worker(a, b, N=N, counts0=counts0, U_all=U_all):
+        def values(a, b, N=N, counts0=counts0, U_all=U_all):
             reps = np.arange(a, b, dtype=np.uint64)
             res = gillespie_batch(model, counts0[a:b], seed, reps, times=times)
             vals = phi(res["counts"] / N)                      # (r, T)
-            diff = vals - U_all[a:b]
-            return (
-                vals.sum(axis=0), (vals * vals).sum(axis=0),
-                diff.sum(axis=0), (diff * diff).sum(axis=0),
-                U_all[a:b].sum(axis=0),
-            )
+            return vals, vals - U_all[a:b], U_all[a:b]
 
-        s1 = np.zeros(T); s2 = np.zeros(T)
-        d1 = np.zeros(T); d2 = np.zeros(T); su = np.zeros(T)
-        for part in run_chunks(worker, R, threads):
-            s1 += part[0]; s2 += part[1]
-            d1 += part[2]; d2 += part[3]; su += part[4]
-
-        mean = s1 / R
-        var = np.maximum(s2 - R * mean * mean, 0.0) / max(R - 1, 1)
-        stderr = np.sqrt(var / R)
-        t1 = d1 / R                                            # E[phi - U(mu^N_0)]
-        t2 = su / R - u_curve                                  # E[U(mu^N_0)] - U(mu0)
+        (mean, stderr), (t1, _), (u0, _) = mc_moments(values, R, threads)
+        # t1 = E[phi - U(mu^N_0)], t2 = E[U(mu^N_0)] - U(mu0)
+        t2 = u0 - u_curve
         err = mean - u_curve                                   # t1 + t2 exactly
         abs_err = np.abs(err)
         j = int(np.argmax(abs_err))
@@ -430,24 +416,18 @@ def run_stationary_gap(cfg: dict, out: str, seed: int, threads: int = 1,
 
     per_N = []
     for N in Ns:
-        def worker(a, b, N=N):
+        def values(a, b, N=N):
             reps = np.arange(a, b, dtype=np.uint64)
             counts0 = sample_initial(nu, N, seed, reps)
             res = gillespie_batch(model, counts0, seed, reps, phi=phi,
                                   burn=burn, end=burn + window)
-            v = res["phi_avg"]
-            return v.sum(), (v * v).sum()
+            return (res["phi_avg"],)
 
-        s1 = s2 = 0.0
-        for a, b in run_chunks(worker, R, threads):
-            s1 += a
-            s2 += b
-        mean = s1 / R
-        var = max(s2 - R * mean * mean, 0.0) / max(R - 1, 1)
+        [(mean, stderr)] = mc_moments(values, R, threads)
         per_N.append({
             "N": N,
             "gap": float(mean - phi_ref),
-            "stderr": float(np.sqrt(var / R)),
+            "stderr": float(stderr),
             "R": R,
         })
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .models import Model, rate_derivative_tensor
+from .models import Model, margin_matrix
 from .simplex import as_measure, barycenter
 
 DEFAULT_STEP = 1e-3
@@ -180,16 +180,6 @@ def flow_map(model: Model, t: float, mu0, step: float = DEFAULT_STEP) -> np.ndar
 # stationary search: integrate until the drift is small, then Newton-polish
 
 
-def _proof_matrix(model: Model, nu: np.ndarray) -> np.ndarray:
-    """A[z, y] = alpha_zy(nu) + sum_x nu_x d alpha_xy / dm (nu, z).
-
-    This matrix represents the derivative of the drift G(nu) = nu @ alpha(nu)
-    along zero-sum directions: G'(nu) q = q @ A for tangent rows q.
-    """
-    D = rate_derivative_tensor(model, nu)              # (d, d, d), [z, x, y]
-    return model.rates(nu) + np.einsum("x,zxy->zy", nu, D)
-
-
 def stationary_distribution(
     model: Model,
     mu0=None,
@@ -237,7 +227,7 @@ def stationary_distribution(
     iters = 0
     while r > tol and iters < max_newton:
         G = nu @ model.rates(nu)
-        A = _proof_matrix(model, nu)
+        A = margin_matrix(model, nu)
         q = -G @ np.linalg.pinv(A)
         q = q - q.mean()                    # keep the update zero-sum
         gamma, accepted = 1.0, False

@@ -32,20 +32,8 @@ from .kolmogorov import (
     solve_kolmogorov_batch,
     _make_measure_postproc,
 )
-from .models import Model, estimate_lipschitz, rate_derivative_tensor
+from .models import Model, estimate_lipschitz, margin_matrix
 from .simplex import as_measure, as_tangent, barycenter, dirac, simplex_lattice
-
-
-def margin_matrix(model: Model, mus) -> np.ndarray:
-    """A[..., x, y] = alpha_xy(mu) + sum_z mu_z * d alpha_zy / dm (mu, x).
-
-    Row vectors act from the left: (L_mu q) = q @ A.  Positive off-diagonal
-    entries of A for all mu certify exponential L1 contraction of the
-    linearized flow (and the entries themselves are the condition-2 margins).
-    """
-    mus = np.asarray(mus, dtype=float)
-    D = rate_derivative_tensor(model, mus)          # (..., z, x, y)
-    return model.rates(mus) + np.einsum("...x,...zxy->...zy", mus, D)
 
 
 def apply_L(model: Model, eta, q) -> np.ndarray:

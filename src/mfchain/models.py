@@ -111,6 +111,21 @@ def rate_derivative_tensor(model: Model, mus) -> np.ndarray:
     return out
 
 
+def margin_matrix(model: Model, mus) -> np.ndarray:
+    """A[..., x, y] = alpha_xy(mu) + sum_z mu_z * d alpha_zy / dm (mu, x).
+
+    Row vectors act from the left: (L_mu q) = q @ A.  Positive off-diagonal
+    entries of A for all mu certify exponential L1 contraction of the
+    linearized flow (and the entries themselves are the condition-2 margins).
+    A is also the derivative of the drift G(mu) = mu @ alpha(mu) along
+    zero-sum directions, G'(mu) q = q @ A, which the stationary search's
+    Newton step uses.
+    """
+    mus = np.asarray(mus, dtype=float)
+    D = rate_derivative_tensor(model, mus)          # (..., z, x, y)
+    return model.rates(mus) + np.einsum("...x,...zxy->...zy", mus, D)
+
+
 def rate_derivative(model: Model, mu, z: int) -> np.ndarray:
     """Matrix d alpha / dm (mu, z) for one direction z."""
     mu = np.asarray(mu, dtype=float)

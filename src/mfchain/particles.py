@@ -273,6 +273,35 @@ def run_chunks(worker: Callable[[int, int], object], R: int, threads: int = 1,
     return results
 
 
+def mc_moments(values: Callable[[int, int], tuple], R: int,
+               threads: int = 1) -> list:
+    """Monte Carlo means and standard errors over replications [0, R).
+
+    values(lo, hi) returns a tuple of arrays whose leading axis runs over
+    replications lo..hi-1.  Each chunk's sums of x and x^2 over that axis
+    are added in chunk order (see run_chunks), so the result is
+    bit-identical for any thread count.  Returns one (mean, stderr) pair
+    per array, each shaped like one replication's value.
+
+    The arrays are summed one by one on purpose: summing them stacked as
+    one (r, k, T) array can differ in the last bits (seen at T = 1).
+    """
+    if R < 1:
+        raise ValueError("need at least one replication")
+
+    def sums(lo, hi):
+        return [(x.sum(axis=0), (x * x).sum(axis=0)) for x in values(lo, hi)]
+
+    out = []
+    for per_chunk in zip(*run_chunks(sums, R, threads)):
+        s1 = sum(s for s, _ in per_chunk)
+        s2 = sum(q for _, q in per_chunk)
+        mean = s1 / R
+        var = np.maximum(s2 - R * mean * mean, 0.0) / max(R - 1, 1)
+        out.append((mean, np.sqrt(var / R)))
+    return out
+
+
 def mc_observable(
     model: Model,
     phi: Callable[[np.ndarray], np.ndarray],
@@ -285,26 +314,18 @@ def mc_observable(
 ) -> MCEstimate:
     """Monte Carlo mean of phi(mu^N_t) over R replications on a grid."""
     times = np.asarray(times, dtype=float)
-    T = len(times)
 
-    def worker(lo, hi):
+    def values(lo, hi):
         reps = np.arange(lo, hi, dtype=np.uint64)
         counts0 = sample_initial(mu0, N, seed, reps)
         res = gillespie_batch(model, counts0, seed, reps, times=times)
-        vals = phi(res["counts"] / N)                       # (r, T)
-        return vals.sum(axis=0), (vals * vals).sum(axis=0)
+        return (phi(res["counts"] / N),)                    # (r, T)
 
-    s1 = np.zeros(T)
-    s2 = np.zeros(T)
-    for a, b in run_chunks(worker, R, threads):
-        s1 += a
-        s2 += b
-    mean = s1 / R
-    var = np.maximum(s2 - R * mean * mean, 0.0) / max(R - 1, 1)
+    [(mean, stderr)] = mc_moments(values, R, threads)
     return MCEstimate(
         times=times,
         mean=mean,
-        stderr=np.sqrt(var / R),
+        stderr=stderr,
         R=R,
         N=N,
         seed=seed,

@@ -61,10 +61,6 @@ def as_tangent(v, tol: float = SUM_TOL) -> np.ndarray:
     return q
 
 
-def l1_norm(v) -> float:
-    return float(np.abs(np.asarray(v, dtype=float)).sum())
-
-
 def l1_distance(a, b) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -115,10 +111,6 @@ class ScalarField:
 
     def __call__(self, mu) -> np.ndarray:
         return self.fn(np.asarray(mu, dtype=float))
-
-    @property
-    def has_analytic_derivative(self) -> bool:
-        return self.grad is not None
 
 
 def functional_derivative_all(field: ScalarField, mu) -> np.ndarray:

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +306,11 @@ def test_weak_error_thread_and_rerun_identity(tmp_path):
     lines = open(os.path.join(out1, "mc_N8.csv")).read().splitlines()
     assert lines[0] == "t,mean,stderr,R,N,seed"
     assert len(lines) == 8                                 # 7 grid points
+    # simulate shares the moment reducer: same seed and config, same bytes
+    out_sim = str(tmp_path / "sim")
+    assert main(["simulate"] + base[1:] + ["--run.N=8", "--out", out_sim]) == 0
+    b_sim = open(os.path.join(out_sim, "mc.csv"), "rb").read()
+    assert b_sim == open(os.path.join(out1, "mc_N8.csv"), "rb").read()
 
 
 def test_stationary_gap_constant_chain(tmp_path):
@@ -321,3 +328,30 @@ def test_stationary_gap_constant_chain(tmp_path):
     lines = open(os.path.join(out, "gap.csv")).read().splitlines()
     assert lines[0] == "N,gap,stderr,R,window,burn"
     assert len(lines) == 3
+
+
+def test_stationary_gap_thread_identity(tmp_path):
+    # R > 5000 gives two chunks, so the threads really split the work
+    base = ["stationary-gap", "--model.name=constant", "--model.Q=-1,1;1,-1",
+            "--gap.R=5001", "--gap.Ns=10", "--gap.burn=1", "--gap.window=1",
+            "--decay.horizon=6"]
+    out1, out2 = str(tmp_path / "t1"), str(tmp_path / "t2")
+    rc1 = main(base + ["--threads", "1", "--out", out1])
+    rc2 = main(base + ["--threads", "2", "--out", out2])
+    assert rc1 == rc2 and rc1 in (0, 2)
+    for fname in ("report.json", "gap.csv"):
+        b1 = open(os.path.join(out1, fname), "rb").read()
+        b2 = open(os.path.join(out2, fname), "rb").read()
+        assert b1 == b2
+
+
+def test_readme_library_tour_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        ns: dict = {}
+        exec(compile(block, str(readme), "exec"), ns)
+    assert np.allclose(ns["nu"], [0.5, 0.5])
+    assert ns["dec"].rate == pytest.approx(2.0, abs=0.05)
+    assert ns["path"].N == 100 and ns["path"].counts.shape == (81, 2)

@@ -6,6 +6,7 @@ from mfchain.models import DomainError, Model, ValidRegion, constant, weak_inter
 from mfchain.particles import (
     EmpiricalPath,
     gillespie_batch,
+    mc_moments,
     mc_observable,
     run_chunks,
     sample_initial,
@@ -104,6 +105,26 @@ def test_run_chunks_order_and_threads():
     assert [r.tolist() for r in a] == [r.tolist() for r in b]
     assert np.array_equal(np.concatenate(a), np.arange(23))
 
+
+
+def test_mc_moments_chunked_matches_direct():
+    # 12001 replications span three chunks; each array keeps its own shape
+    gen = np.random.default_rng(3)
+    x, y = gen.normal(size=(12001, 4)), gen.exponential(size=12001)
+
+    def values(lo, hi):
+        return x[lo:hi], y[lo:hi]
+
+    one = mc_moments(values, 12001, threads=1)
+    two = mc_moments(values, 12001, threads=2)
+    for (m1, s1), (m2, s2), v in zip(one, two, (x, y)):
+        assert np.array_equal(m1, m2) and np.array_equal(s1, s2)
+        assert np.allclose(m1, v.mean(axis=0), rtol=0, atol=1e-14)
+        assert np.allclose(s1, v.std(axis=0, ddof=1) / np.sqrt(12001),
+                           rtol=1e-10, atol=0)
+    assert np.shape(one[0][0]) == (4,) and np.shape(one[1][0]) == ()
+    with pytest.raises(ValueError, match="replication"):
+        mc_moments(values, 0)
 
 def test_mc_observable_thread_invariance():
     est1 = mc_observable(
