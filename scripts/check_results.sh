@@ -15,12 +15,7 @@ trap 'rm -rf "$tmp"' EXIT
 scripts/run_weak_error.sh "$@" --out "$tmp/weak_error" || true
 scripts/run_stationary_gap.sh "$@" --out "$tmp/stationary_gap" || true
 scripts/run_master_check.sh "$@" --out "$tmp/master_check" || true
-# run_certify.sh writes three models into three directories, so one later
-# --out would make them overwrite each other; its runs are repeated here.
-for name in weak_interaction example_slow_conv example_non_erg; do
-    python3 -m mfchain certify --model.name="$name" "$@" \
-        --out "$tmp/certify_$name" || true
-done
+scripts/run_certify.sh "$@" --out "$tmp" || true
 
 files="$(git ls-files results 2>/dev/null)" || files=""
 [ -n "$files" ] || files="$(find results -type f | sort)"

@@ -40,8 +40,8 @@ from .kolmogorov import (                                     # noqa: E402
     Trajectory,
     flow_map,
     make_grid,
+    solve_flow,
     solve_kolmogorov,
-    solve_kolmogorov_batch,
     stationary_distribution,
 )
 from .linearized import (                                     # noqa: E402
@@ -85,8 +85,8 @@ __all__ = [
     "Model", "ValidRegion", "constant", "example_chaos", "example_non_erg",
     "example_slow_conv", "make_model", "register_model", "weak_interaction",
     "zero",
-    "Trajectory", "flow_map", "make_grid", "solve_kolmogorov",
-    "solve_kolmogorov_batch", "stationary_distribution",
+    "Trajectory", "flow_map", "make_grid", "solve_flow", "solve_kolmogorov",
+    "stationary_distribution",
     "DecayEstimate", "ErgodicityReport", "apply_L", "check_condition1",
     "check_condition2", "dm_dmeasure", "dm_dmeasure_all", "estimate_decay",
     "m1", "margin_matrix", "nonlinear_contraction_rate",

@@ -28,8 +28,8 @@ from . import __version__, rng
 from .kolmogorov import (
     DEFAULT_STEP,
     make_grid,
+    solve_flow,
     solve_kolmogorov,
-    solve_kolmogorov_batch,
     stationary_distribution,
 )
 from .linearized import check_condition1, check_condition2, estimate_decay
@@ -302,8 +302,7 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
         starts.append(uniq_by_N[N] / N)
         offsets[N] = pos
         pos += len(uniq_by_N[N])
-    flows = solve_kolmogorov_batch(model, np.concatenate(starts, axis=0),
-                                   times, step)
+    flows, _ = solve_flow(model, np.concatenate(starts, axis=0), times, step)
     u_curve = phi(flows[0])                                    # U(t, mu0)
 
     per_N = []

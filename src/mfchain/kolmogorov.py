@@ -80,6 +80,7 @@ def rk4_segments(
 
     y0: (B, n) flat state rows; returns (B, T, n).  Each recording interval
     is cut into equal substeps of length <= step so grid times are exact.
+    A zero-length interval records its start state unchanged.
     """
     y = np.array(y0, dtype=float)
     if y.ndim != 2:
@@ -89,6 +90,9 @@ def rk4_segments(
     out[:, 0] = y
     for j in range(T - 1):
         t0, span = times[j], times[j + 1] - times[j]
+        if span == 0:
+            out[:, j + 1] = y
+            continue
         nsub = max(1, int(np.ceil(span / step - 1e-12)))
         h = span / nsub
         for i in range(nsub):
@@ -135,23 +139,62 @@ def _make_measure_postproc(model: Model):
     return postproc
 
 
-def _drift(model: Model):
-    def f(t, m):
-        return np.einsum("bx,bxy->by", m, model.rates(m))
+def solve_flow(
+    model: Model,
+    mu0s,
+    times,
+    step: float = DEFAULT_STEP,
+    Q0=None,
+    source: Optional[Callable[[float], np.ndarray]] = None,
+):
+    """Batched RK4 on the flow, optionally co-integrating tangent rows.
 
-    return f
-
-
-def solve_kolmogorov_batch(
-    model: Model, mu0s, times, step: float = DEFAULT_STEP
-) -> np.ndarray:
-    """Flow from many initial measures at once; returns (B, T, d)."""
+    mu0s: (B, d) initial measures; Q0: (B, k, d) initial zero-sum tangent
+    rows, or None for k = 0; source: t -> array broadcastable to (B, k, d),
+    added to the tangent equation.  Returns (states (B, T, d), tangents
+    (B, T, k, d)).  The tangents follow q -> q @ A(m) with the linearization
+    matrix rebuilt from the in-stage measure, so they see the same order of
+    accuracy as the base flow.  `times` must be non-decreasing; equal
+    neighbours record the same state twice.
+    """
     times = np.asarray(times, dtype=float)
+    if (times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
+            or np.any(np.diff(times) < 0)):
+        raise ValueError(
+            "recording grid must be a non-empty finite non-decreasing 1-d array"
+        )
     mu0s = np.atleast_2d(np.asarray(mu0s, dtype=float))
+    B, d = mu0s.shape
+    Q0 = np.zeros((B, 0, d)) if Q0 is None else np.asarray(Q0, dtype=float)
+    k = Q0.shape[-2]
     model.require_valid(mu0s)
-    return rk4_segments(
-        _drift(model), mu0s, times, step, _make_measure_postproc(model)
-    )
+    measure_post = _make_measure_postproc(model)
+
+    def f(t, Y):
+        m = Y[:, :d]
+        dm = np.einsum("bx,bxy->by", m, model.rates(m))
+        if k == 0:
+            return dm
+        Q = Y[:, d:].reshape(B, k, d)
+        dQ = np.einsum("bkz,bzy->bky", Q, margin_matrix(model, m))
+        if source is not None:
+            dQ = dQ + source(t)
+        return np.concatenate([dm, dQ.reshape(B, k * d)], axis=1)
+
+    def postproc(t, Y):
+        m = measure_post(t, Y[:, :d])
+        if k == 0:
+            return m
+        # tangent rows stay zero-sum under the exact dynamics (the
+        # linearization matrix has zero row sums); re-project so roundoff
+        # cannot accumulate in that invariant direction
+        Q = Y[:, d:].reshape(B, k, d)
+        Q = Q - Q.mean(axis=-1, keepdims=True)
+        return np.concatenate([m, Q.reshape(B, k * d)], axis=1)
+
+    Y0 = np.concatenate([mu0s, Q0.reshape(B, k * d)], axis=1)
+    out = rk4_segments(f, Y0, times, step, postproc)
+    return out[:, :, :d], out[:, :, d:].reshape(B, len(times), k, d)
 
 
 def solve_kolmogorov(
@@ -160,20 +203,14 @@ def solve_kolmogorov(
     """Solve the nonlinear forward equation, recording on `times`."""
     times = validate_grid(times, require_zero_start=False)
     mu0 = as_measure(mu0)
-    states = solve_kolmogorov_batch(model, mu0[None, :], times, step)[0]
+    states = solve_flow(model, mu0[None, :], times, step)[0][0]
     return Trajectory(times=times, states=states, model_name=model.name)
 
 
 def flow_map(model: Model, t: float, mu0, step: float = DEFAULT_STEP) -> np.ndarray:
     """The time-t flow m(t; mu0) as a single measure."""
     mu0 = as_measure(mu0)
-    if t < 0:
-        raise ValueError("flow_map needs t >= 0")
-    if t == 0:
-        return mu0
-    return solve_kolmogorov_batch(model, mu0[None, :], np.array([0.0, t]), step)[
-        0, -1
-    ]
+    return solve_flow(model, mu0[None, :], np.array([0.0, t]), step)[0][0, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +249,7 @@ def stationary_distribution(
     r = resid(nu)
     while r > trigger and t < max_time:
         span = min(1.0, max_time - t)
-        nu = solve_kolmogorov_batch(
-            model, nu[None, :], np.array([0.0, span]), step
-        )[0, -1]
+        nu = solve_flow(model, nu[None, :], np.array([0.0, span]), step)[0][0, -1]
         t += span
         r = resid(nu)
     info["march_time"] = t

@@ -26,12 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .kolmogorov import (
-    DEFAULT_STEP,
-    rk4_segments,
-    solve_kolmogorov_batch,
-    _make_measure_postproc,
-)
+from .kolmogorov import DEFAULT_STEP, solve_flow
 from .models import Model, estimate_lipschitz, margin_matrix
 from .simplex import as_measure, as_tangent, barycenter, dirac, simplex_lattice
 
@@ -57,56 +52,6 @@ class TangentPath:
     model_name: str = ""
 
 
-def _solve_flow_and_tangents(
-    model: Model,
-    mu0s: np.ndarray,
-    Q0: np.ndarray,
-    times,
-    step: float = DEFAULT_STEP,
-    source: Optional[Callable[[float], np.ndarray]] = None,
-):
-    """Batched RK4 on the joint state (m, q_1..q_k).
-
-    mu0s: (B, d) initial measures, Q0: (B, k, d) initial tangent rows.
-    Returns (states (B, T, d), tangents (B, T, k, d)).  The linearization
-    matrix is rebuilt from the in-stage measure, so tangents see the same
-    order of accuracy as the base flow.
-    """
-    times = np.asarray(times, dtype=float)
-    mu0s = np.atleast_2d(np.asarray(mu0s, dtype=float))
-    Q0 = np.asarray(Q0, dtype=float)
-    B, d = mu0s.shape
-    k = Q0.shape[-2]
-    model.require_valid(mu0s)
-
-    measure_post = _make_measure_postproc(model)
-
-    def f(t, Y):
-        m = Y[:, :d]
-        Q = Y[:, d:].reshape(B, k, d)
-        A = margin_matrix(model, m)                       # (B, d, d)
-        dm = np.einsum("bx,bxy->by", m, model.rates(m))
-        dQ = np.einsum("bkz,bzy->bky", Q, A)
-        if source is not None:
-            dQ = dQ + source(t)
-        return np.concatenate([dm, dQ.reshape(B, k * d)], axis=1)
-
-    def postproc(t, Y):
-        m = measure_post(t, Y[:, :d])
-        # tangent rows stay zero-sum under the exact dynamics (the
-        # linearization matrix has zero row sums); re-project so roundoff
-        # cannot accumulate in that invariant direction
-        Q = Y[:, d:].reshape(B, k, d)
-        Q = Q - Q.mean(axis=-1, keepdims=True)
-        return np.concatenate([m, Q.reshape(B, k * d)], axis=1)
-
-    Y0 = np.concatenate([mu0s, Q0.reshape(B, k * d)], axis=1)
-    out = rk4_segments(f, Y0, times, step, postproc)
-    states = out[:, :, :d]
-    tangents = out[:, :, d:].reshape(B, len(times), k, d)
-    return states, tangents
-
-
 def solve_linear_cauchy(
     model: Model,
     mu0,
@@ -126,13 +71,8 @@ def solve_linear_cauchy(
     Q0 = q0[None, :] if single else q0
     for row in Q0:
         as_tangent(row)
-    src = None
-    if source is not None:
-        def src(t, _s=source, _single=single):
-            r = np.asarray(_s(t), dtype=float)
-            return r[None, None, :] if _single else r[None, :, :]
-    states, tangents = _solve_flow_and_tangents(
-        model, mu0[None, :], Q0[None, :, :], times, step, source=src
+    states, tangents = solve_flow(
+        model, mu0[None, :], times, step, Q0=Q0[None, :, :], source=source
     )
     tang = tangents[0, :, 0, :] if single else tangents[0]
     return TangentPath(
@@ -147,8 +87,6 @@ def m1(model: Model, t: float, mu, nu, step: float = DEFAULT_STEP) -> np.ndarray
     """First-order flow response: d/de m(t; mu + e (nu - mu)) at e = 0."""
     mu = as_measure(mu)
     nu = as_measure(nu)
-    if t == 0:
-        return nu - mu
     path = solve_linear_cauchy(model, mu, nu - mu, np.array([0.0, t]), step)
     return path.tangents[-1]
 
@@ -165,12 +103,9 @@ def dm_dmeasure_all(
 ) -> np.ndarray:
     """All directions at once: rows J[z] = dm/dmu (t, mu, z)."""
     mu = as_measure(mu)
-    d = len(mu)
-    Q0 = np.eye(d) - mu[None, :]
-    if t == 0:
-        return Q0
-    _, tangents = _solve_flow_and_tangents(
-        model, mu[None, :], Q0[None, :, :], np.array([0.0, t]), step
+    Q0 = np.eye(len(mu)) - mu[None, :]
+    _, tangents = solve_flow(
+        model, mu[None, :], np.array([0.0, t]), step, Q0=Q0[None, :, :]
     )
     return tangents[0, -1]
 
@@ -214,10 +149,10 @@ def estimate_decay(
         samples.extend(rng.random_measures(seed, n_random, d, floor=floor))
     mus = np.asarray(samples)
     B = len(mus)
-    Q0 = np.broadcast_to(np.eye(d)[None, :, :] - mus[:, None, :], (B, d, d)).copy()
-
     times = np.arange(0.0, horizon + 1e-9, spacing)
-    _, tangents = _solve_flow_and_tangents(model, mus, Q0, times, step)
+    _, tangents = solve_flow(
+        model, mus, times, step, Q0=np.eye(d) - mus[:, None, :]
+    )
     norms = np.abs(tangents).sum(axis=-1)          # (B, T, d) row L1 norms
     agg = norms.max(axis=-1)                       # worst direction per time
 
@@ -272,8 +207,8 @@ def nonlinear_contraction_rate(
     mus = rng.random_measures(seed, n_pairs, model.d, floor=floor)
     nus = rng.random_measures(seed, n_pairs, model.d, floor=floor, rep=1)
     times = np.arange(0.0, horizon + 1e-9, spacing)
-    a = solve_kolmogorov_batch(model, mus, times, step)
-    b = solve_kolmogorov_batch(model, nus, times, step)
+    a = solve_flow(model, mus, times, step)[0]
+    b = solve_flow(model, nus, times, step)[0]
     dist = np.abs(a - b).sum(axis=2)
     tail = times >= horizon / 2.0
     tt = times[tail]

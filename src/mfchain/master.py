@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kolmogorov import DEFAULT_STEP, solve_kolmogorov_batch
-from .linearized import _solve_flow_and_tangents
+from .kolmogorov import DEFAULT_STEP, solve_flow
 from .models import Model
 from .simplex import (
     ScalarField,
@@ -40,21 +39,12 @@ class PropagatedObservable:
 
 
 def eval_U(obs: PropagatedObservable, t: float, mu) -> float:
-    mu = as_measure(mu)
-    if t == 0:
-        return float(obs.phi(mu))
-    states = solve_kolmogorov_batch(
-        obs.model, mu[None, :], np.array([0.0, t]), obs.step
-    )
-    return float(obs.phi(states[0, -1]))
+    return float(eval_U_many(obs, t, as_measure(mu)[None, :])[0])
 
 
 def eval_U_many(obs: PropagatedObservable, t: float, mus) -> np.ndarray:
     """U(t, mu_b) for a batch of initial measures (one batched flow solve)."""
-    mus = np.atleast_2d(np.asarray(mus, dtype=float))
-    if t == 0:
-        return obs.phi(mus)
-    states = solve_kolmogorov_batch(obs.model, mus, np.array([0.0, t]), obs.step)
+    states, _ = solve_flow(obs.model, mus, np.array([0.0, t]), obs.step)
     return obs.phi(states[:, -1])
 
 
@@ -67,19 +57,11 @@ def dU_dmeasure_all(obs: PropagatedObservable, t: float, mu) -> np.ndarray:
     normalization constant of phi's derivative drops out automatically.
     """
     mu = as_measure(mu)
-    d = len(mu)
-    Q0 = np.eye(d) - mu[None, :]
-    if t == 0:
-        J = Q0
-        end = mu
-    else:
-        states, tangents = _solve_flow_and_tangents(
-            obs.model, mu[None, :], Q0[None, :, :], np.array([0.0, t]), obs.step
-        )
-        J = tangents[0, -1]
-        end = states[0, -1]
-    dphi = functional_derivative_all(obs.phi, end)
-    return J @ dphi
+    states, tangents = solve_flow(
+        obs.model, mu[None, :], np.array([0.0, t]), obs.step,
+        Q0=(np.eye(len(mu)) - mu[None, :])[None, :, :],
+    )
+    return tangents[0, -1] @ functional_derivative_all(obs.phi, states[0, -1])
 
 
 def dU_dmeasure(obs: PropagatedObservable, t: float, mu, z: int) -> float:
@@ -114,9 +96,8 @@ def master_residual_scan(
     union = np.unique(np.concatenate([[0.0], stencil.ravel(), ts]))
     col = {v: i for i, v in enumerate(union)}
 
-    Q0 = np.broadcast_to(np.eye(d)[None, :, :] - mus[:, None, :], (B, d, d)).copy()
-    states, tangents = _solve_flow_and_tangents(
-        obs.model, mus, Q0, union, obs.step
+    states, tangents = solve_flow(
+        obs.model, mus, union, obs.step, Q0=np.eye(d) - mus[:, None, :]
     )
     Uvals = obs.phi(states)                                     # (B, T_union)
 
@@ -175,18 +156,12 @@ def tau_remainder(
     w = simpson_weights(quad_points)
     nodes = mu[None, :] + thetas[:, None] * shift[None, :]
 
-    Q0 = np.broadcast_to(
-        np.eye(d)[None, :, :] - nodes[:, None, :], (quad_points, d, d)
-    ).copy()
-    if s == 0:
-        ends, J = nodes, Q0
-    else:
-        states, tangents = _solve_flow_and_tangents(
-            obs.model, nodes, Q0, np.array([0.0, s]), obs.step
-        )
-        ends, J = states[:, -1], tangents[:, -1]
-    dphi = functional_derivative_all(obs.phi, ends)             # (n, d)
-    dU = np.einsum("nzd,nd->nz", J, dphi)                       # (n, d)
+    states, tangents = solve_flow(
+        obs.model, nodes, np.array([0.0, s]), obs.step,
+        Q0=np.eye(d) - nodes[:, None, :],
+    )
+    dphi = functional_derivative_all(obs.phi, states[:, -1])    # (n, d)
+    dU = np.einsum("nzd,nd->nz", tangents[:, -1], dphi)         # (n, d)
     D = dU[:, z] - dU[:, x]
     integral = float(w @ D)
     return (integral - D[0]) / N

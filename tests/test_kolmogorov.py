@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,8 +13,8 @@ from mfchain.kolmogorov import (
     flow_map,
     make_grid,
     rk4_segments,
+    solve_flow,
     solve_kolmogorov,
-    solve_kolmogorov_batch,
     stationary_distribution,
     validate_grid,
 )
@@ -93,18 +95,66 @@ def _drift_of(model):
 @given(measure_strategy(2))
 def test_flow_stays_on_simplex(mu0):
     model = example_non_erg()
-    states = solve_kolmogorov_batch(model, [mu0], make_grid(2.0, 0.5), step=1e-2)
+    states = solve_flow(model, [mu0], make_grid(2.0, 0.5), step=1e-2)[0]
     assert np.abs(states.sum(axis=-1) - 1.0).max() < 1e-12
     assert states.min() >= 0.0
 
 
 def test_chaos_flow_stays_valid():
     model = example_chaos()
-    states = solve_kolmogorov_batch(
-        model, [np.full(4, 0.25)], make_grid(1.0, 0.25)
-    )
+    states = solve_flow(model, [np.full(4, 0.25)], make_grid(1.0, 0.25))[0]
     assert np.abs(states.sum(axis=-1) - 1.0).max() < 1e-12
     assert states.min() >= model.valid_region.min_mass - 1e-12
+
+
+# --- the flow-and-tangent core ------------------------------------------------
+
+
+@pytest.mark.parametrize("model", [example_non_erg(), example_chaos()],
+                         ids=lambda m: m.name)
+def test_flow_states_do_not_depend_on_tangent_rows(model):
+    d = model.d
+    mus = np.array([np.full(d, 1.0 / d), np.linspace(1.0, 2.0, d) / (1.5 * d)])
+    times = make_grid(1.0, 0.25)
+    alone, none = solve_flow(model, mus, times)
+    assert none.shape == (2, len(times), 0, d)
+    states, tangents = solve_flow(model, mus, times,
+                                  Q0=np.eye(d) - mus[:, None, :])
+    assert tangents.shape == (2, len(times), d, d)
+    assert np.array_equal(states, alone)
+
+
+def _counting(model):
+    calls = []
+
+    def rates(m):
+        calls.append(len(m))
+        return model.rates(m)
+
+    return dataclasses.replace(model, rates=rates), calls
+
+
+def test_zero_length_interval_records_start_without_rhs():
+    model, calls = _counting(example_non_erg())
+    mu = np.array([[0.3, 0.7]])
+    Q0 = np.array([[[0.7, -0.7], [-0.3, 0.3]]])
+    states, tangents = solve_flow(model, mu, [0.0, 0.0], Q0=Q0)
+    assert calls == []
+    assert np.array_equal(states[0], [mu[0], mu[0]])
+    assert np.array_equal(tangents[0], [Q0[0], Q0[0]])
+    # a repeated grid time costs nothing and records the same state twice
+    plain = solve_flow(model, mu, [0.0, 0.5, 1.0], step=0.1)[0]
+    n_plain = len(calls)
+    repeated = solve_flow(model, mu, [0.0, 0.5, 0.5, 1.0], step=0.1)[0]
+    assert len(calls) == 2 * n_plain
+    assert np.array_equal(repeated[0], plain[0][[0, 1, 1, 2]])
+
+
+def test_solve_flow_rejects_bad_grids():
+    model = weak_interaction()
+    for times in ([0.0, 1.0, 0.5], [[0.0, 1.0]], [0.0, np.nan], []):
+        with pytest.raises(ValueError):
+            solve_flow(model, [[0.9, 0.1]], times)
 
 
 # --- postprocessor safeguards ------------------------------------------------
@@ -207,9 +257,9 @@ def test_slow_conv_polynomial_decay_band():
     # past t = 1/48 — the witness that convergence is not exponential
     model = example_slow_conv()
     times = np.arange(1, 401) * 0.05
-    states = solve_kolmogorov_batch(
+    states = solve_flow(
         model, [np.array([1.0, 0.0])], np.concatenate([[0.0], times])
-    )[0, 1:]
+    )[0][0, 1:]
     vals = times * (np.abs(states - 0.5).sum(axis=1) ** 2)
     assert vals.min() >= 1.0 / 64.0 - 1e-3
     assert vals.max() <= 1.0 / 16.0 + 1e-3

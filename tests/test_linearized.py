@@ -17,6 +17,7 @@ from mfchain.linearized import (
 from mfchain.kolmogorov import flow_map
 from mfchain.models import (
     constant,
+    example_chaos,
     example_non_erg,
     example_slow_conv,
     weak_interaction,
@@ -83,6 +84,9 @@ def test_m1_weak_interaction_closed_form():
     mu = np.array([0.9, 0.1])
     nu = np.array([0.2, 0.8])
     assert np.array_equal(m1(model, 0.0, mu, nu), nu - mu)
+    chaos_mu = np.array([0.1, 0.2, 0.3, 0.4])
+    assert np.array_equal(dm_dmeasure_all(example_chaos(), 0.0, chaos_mu),
+                          np.eye(4) - chaos_mu)
     for t in (0.5, 1.0, 2.0):
         got = m1(model, t, mu, nu)
         exact = (nu - mu) * np.exp(-2.0 * t)

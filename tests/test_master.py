@@ -38,6 +38,10 @@ def test_eval_U_many_matches_loop():
     singles = [eval_U(obs, 1.3, mu) for mu in mus]
     assert np.abs(batched - singles).max() < 1e-14
     assert np.array_equal(eval_U_many(obs, 0.0, mus), QUAD(mus))
+    # at s = 0 the remainder of a quadratic phi is the curvature of phi along
+    # the shift (delta_z - delta_x) / N: (A_zz - 2 A_xz + A_xx) / N^2
+    tau = tau_remainder(obs, 0.0, [0] * 3 + [1] * 7, i=0, z=1)
+    assert tau == pytest.approx((0.5 - 0.4 + 1.0) / 100.0, rel=1e-12)
 
 
 def test_observable_is_frozen():
