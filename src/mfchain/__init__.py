@@ -9,6 +9,7 @@ uniform-in-time O(1/N) weak error empirically.
 
 __version__ = "0.1.0"
 
+from .errors import DomainExitError, InputError, MfchainError, SolverError  # noqa
 from .simplex import (                                        # noqa: E402
     ScalarField,
     as_measure,
@@ -78,6 +79,7 @@ from .particles import (                                      # noqa: E402
 
 __all__ = [
     "__version__",
+    "DomainExitError", "InputError", "MfchainError", "SolverError",
     "ScalarField", "as_measure", "as_tangent", "barycenter", "dirac",
     "directional_derivative", "ftc_difference", "functional_derivative_all",
     "l1_distance", "linear_functional_derivative", "make_observable", "mix",

@@ -16,7 +16,8 @@ import os
 import sys
 from typing import Optional
 
-from .harness import COMMANDS, HarnessError, cfg_int, load_config
+from .errors import InputError, MfchainError
+from .harness import COMMANDS, cfg_int, load_config
 
 
 def parse_dotted(tokens: list) -> dict:
@@ -26,7 +27,7 @@ def parse_dotted(tokens: list) -> dict:
     while i < len(tokens):
         tok = tokens[i]
         if not tok.startswith("--") or "." not in tok.split("=", 1)[0]:
-            raise HarnessError(f"unrecognized argument: {tok}")
+            raise InputError(f"unrecognized argument: {tok}")
         body = tok[2:]
         if "=" in body:
             key, val = body.split("=", 1)
@@ -34,7 +35,7 @@ def parse_dotted(tokens: list) -> dict:
         else:
             key = body
             if i + 1 >= len(tokens) or tokens[i + 1].startswith("--"):
-                raise HarnessError(f"missing value for override {tok}")
+                raise InputError(f"missing value for override {tok}")
             val = tokens[i + 1]
             i += 2
         out[key] = val
@@ -60,9 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args, extra = parser.parse_known_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
         overrides = parse_dotted(extra)
         cfg = load_config(args.config)
         cfg.update(overrides)
@@ -71,14 +71,8 @@ def main(argv: Optional[list] = None) -> int:
         runner = COMMANDS[args.command]
         return int(runner(cfg, out, seed, threads=args.threads,
                           force=args.force))
-    except HarnessError as exc:
-        print(f"mfchain: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:           # argparse's own exits (help, usage)
-        code = exc.code
-        return int(code) if isinstance(code, int) else 1
-    except Exception as exc:
-        print(f"mfchain: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except MfchainError as exc:
+        print(f"mfchain: error: {exc}", file=sys.stderr)
         return 1
 
 

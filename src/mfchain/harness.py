@@ -25,6 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__, rng
+from .errors import InputError
 from .kolmogorov import (
     DEFAULT_STEP,
     make_grid,
@@ -45,10 +46,6 @@ EXIT_INCONCLUSIVE = 2
 EXIT_FAIL = 3
 
 
-class HarnessError(RuntimeError):
-    """User-facing configuration or precondition error (exit code 1)."""
-
-
 # ---------------------------------------------------------------------------
 # config: flat `section.key = value`
 
@@ -60,11 +57,11 @@ def parse_config_text(text: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise HarnessError(f"config line {lineno}: expected key = value")
+            raise InputError(f"config line {lineno}: expected key = value")
         key, val = line.split("=", 1)
         key = key.strip()
         if not key or "." not in key:
-            raise HarnessError(
+            raise InputError(
                 f"config line {lineno}: keys are dotted section.key names"
             )
         cfg[key] = val.strip()
@@ -74,16 +71,33 @@ def parse_config_text(text: str) -> dict:
 def load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read config {path}: {exc}") from None
+    return parse_config_text(text)
+
+
+def _parsed(cfg: dict, key: str, default, parse: Callable):
+    """parse(raw) of the key's raw string; a ValueError names the key."""
+    raw = str(cfg.get(key, default))
+    try:
+        return parse(raw)
+    except ValueError:
+        raise InputError(f"config key {key}: cannot parse {raw!r}") from None
+
+
+def _list(cast: Callable) -> Callable:
+    return lambda raw: [cast(v) for v in raw.split(",") if v.strip() != ""]
 
 
 def cfg_float(cfg: dict, key: str, default: float) -> float:
-    return float(cfg.get(key, default))
+    return _parsed(cfg, key, default, float)
 
 
 def cfg_int(cfg: dict, key: str, default: int) -> int:
-    return int(str(cfg.get(key, default)))
+    return _parsed(cfg, key, default, int)
 
 
 def cfg_str(cfg: dict, key: str, default: str) -> str:
@@ -91,17 +105,15 @@ def cfg_str(cfg: dict, key: str, default: str) -> str:
 
 
 def cfg_floats(cfg: dict, key: str, default: str) -> np.ndarray:
-    raw = str(cfg.get(key, default))
-    return np.array([float(v) for v in raw.split(",") if v.strip() != ""])
+    return np.array(_parsed(cfg, key, default, _list(float)))
 
 
 def cfg_ints(cfg: dict, key: str, default: str) -> list:
-    raw = str(cfg.get(key, default))
-    return [int(v) for v in raw.split(",") if v.strip() != ""]
+    return _parsed(cfg, key, default, _list(int))
 
 
 def _auto_value(raw: str):
-    """Best-effort typed parse for model parameters."""
+    """Best-effort typed parse for model parameters (ValueError if ragged)."""
     if ";" in raw:
         return np.array(
             [[float(v) for v in row.split(",")] for row in raw.split(";")]
@@ -119,16 +131,13 @@ def _auto_value(raw: str):
 def model_from_config(cfg: dict) -> Model:
     name = cfg_str(cfg, "model.name", "")
     if not name:
-        raise HarnessError("config needs model.name")
+        raise InputError("config needs model.name")
     params = {
-        key.split(".", 1)[1]: _auto_value(val)
-        for key, val in cfg.items()
+        key.split(".", 1)[1]: _parsed(cfg, key, None, _auto_value)
+        for key in cfg
         if key.startswith("model.") and key != "model.name"
     }
-    try:
-        return make_model(name, **params)
-    except KeyError as exc:
-        raise HarnessError(str(exc)) from None
+    return make_model(name, **params)
 
 
 def observable_from_config(cfg: dict, model: Model) -> ScalarField:
@@ -279,7 +288,7 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
 
     bundle = certification_bundle(model, cfg, seed)
     if not bundle["certified"] and not force:
-        raise HarnessError(
+        raise InputError(
             "no ergodicity certificate holds for this model; the uniform-in-N"
             " guarantee is unsupported.  Re-run with --force to proceed anyway."
         )
@@ -402,7 +411,7 @@ def run_stationary_gap(cfg: dict, out: str, seed: int, threads: int = 1,
     dec = estimate_decay(model, horizon=cfg_float(cfg, "decay.horizon", 20.0),
                          seed=seed)
     if dec.flagged and not force:
-        raise HarnessError(
+        raise InputError(
             "no linearized decay detected; burn-in calibration is undefined."
             "  Re-run with --force and an explicit gap.burn."
         )

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import DomainExitError, InputError, SolverError
 from .models import Model, margin_matrix
 from .simplex import as_measure, barycenter
 
@@ -25,26 +26,10 @@ CLIP_FLOOR = -1e-10       # single-component clip tolerance
 CLIP_BUDGET = 1e-8        # cumulative clipped mass per trajectory
 
 
-class IntegrationError(RuntimeError):
-    """The integrator's accuracy safeguards were violated."""
-
-
-class DomainExitError(RuntimeError):
-    """A trajectory left the model's validity region."""
-
-    def __init__(self, msg: str, time: float):
-        super().__init__(msg)
-        self.time = time
-
-
-class StationaryNotFound(RuntimeError):
-    """The stationary search did not reach the requested residual."""
-
-
 def make_grid(horizon: float, spacing: float) -> np.ndarray:
     """Uniform recording grid 0, spacing, 2*spacing, ..., <= horizon."""
     if horizon < 0 or spacing <= 0:
-        raise ValueError("need horizon >= 0 and spacing > 0")
+        raise InputError("need horizon >= 0 and spacing > 0")
     n = int(np.floor(horizon / spacing + 1e-9))
     return spacing * np.arange(n + 1)
 
@@ -117,13 +102,13 @@ def _make_measure_postproc(model: Model):
         if clipped is None:
             clipped = np.zeros(y.shape[0])
         if np.any(y < CLIP_FLOOR):
-            raise IntegrationError(
+            raise SolverError(
                 f"component below {CLIP_FLOOR} at t={t:.6g}; reduce the step"
             )
         neg = np.minimum(y, 0.0)
         clipped += -neg.sum(axis=1)
         if np.any(clipped > CLIP_BUDGET):
-            raise IntegrationError(
+            raise SolverError(
                 f"cumulative clipped mass exceeded {CLIP_BUDGET} at t={t:.6g}"
             )
         y = np.maximum(y, 0.0)
@@ -235,7 +220,7 @@ def stationary_distribution(
     Newton still contracts with factor 2/3 there).
 
     Returns (nu, info) where info records march/polish diagnostics.
-    Raises StationaryNotFound if the final residual exceeds 10 * tol.
+    Raises SolverError if the final residual exceeds 10 * tol.
     """
     nu = barycenter(model.d) if mu0 is None else as_measure(mu0)
     model.require_valid(nu)
@@ -282,7 +267,7 @@ def stationary_distribution(
     info["residual"] = r
     info["converged"] = bool(r <= 10.0 * tol)
     if not info["converged"]:
-        raise StationaryNotFound(
+        raise SolverError(
             f"stationary search stalled at residual {r:.3e} (target {10 * tol:.1e})"
             f" for model {model.name!r}"
         )

@@ -16,37 +16,31 @@ row vector ``mu @ alpha(mu)``.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import rng
+from .errors import InputError
 from .simplex import FD_EPS
 
 ROW_SUM_TOL = 1e-12
-
-
-class DomainError(ValueError):
-    """A measure left a model's declared validity region."""
-
-
-class RateMatrixError(ValueError):
-    """A rate matrix violated the conservative-generator invariants."""
 
 
 def check_rate_matrix(A, tol: float = ROW_SUM_TOL) -> np.ndarray:
     """Validate off-diagonal positivity and zero row sums; returns A."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise RateMatrixError(f"rate matrix must be square, got shape {A.shape}")
+        raise InputError(f"rate matrix must be square, got shape {A.shape}")
     off = A.copy()
     np.fill_diagonal(off, 0.0)
     if np.any(off < 0.0):
-        raise RateMatrixError("negative off-diagonal rate")
+        raise InputError("negative off-diagonal rate")
     rowsum = A.sum(axis=1)
     if np.any(np.abs(rowsum) > tol):
-        raise RateMatrixError(f"row sums not zero: {rowsum}")
+        raise InputError(f"row sums not zero: {rowsum}")
     return A
 
 
@@ -76,7 +70,7 @@ class Model:
     def require_valid(self, mu) -> None:
         ok = self.valid_region.contains(mu)
         if not np.all(ok):
-            raise DomainError(
+            raise InputError(
                 f"measure outside valid region of model {self.name!r}"
                 f" ({self.valid_region.description})"
             )
@@ -88,7 +82,7 @@ def eval_rates(model: Model, mu) -> np.ndarray:
     model.require_valid(mu)
     A = model.rates(mu)
     if not np.all(np.isfinite(A)):
-        raise DomainError(f"non-finite rates for model {model.name!r} at {mu}")
+        raise InputError(f"non-finite rates for model {model.name!r} at {mu}")
     return A
 
 
@@ -131,7 +125,7 @@ def rate_derivative(model: Model, mu, z: int) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     model.require_valid(mu)
     if not 0 <= z < model.d:
-        raise DomainError(f"state index {z} out of range for d={model.d}")
+        raise InputError(f"state index {z} out of range for d={model.d}")
     return rate_derivative_tensor(model, mu)[..., z, :, :]
 
 
@@ -247,7 +241,7 @@ def weak_interaction(a: float = 1.0, b: float = 1.0, eps: float = 0.25) -> Model
     makes the mean-field flow affine with contraction rate a + b.)
     """
     if a <= 0 or b <= 0 or eps < 0:
-        raise ValueError("need a, b > 0 and eps >= 0")
+        raise InputError("need a, b > 0 and eps >= 0")
 
     def rates(mu):
         mu = np.asarray(mu, dtype=float)
@@ -369,12 +363,15 @@ def register_model(name: str, factory: Callable[..., Model]) -> None:
 
 
 def make_model(name: str, **params) -> Model:
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
+    if name not in _REGISTRY:
+        raise InputError(
             f"unknown model {name!r} (known: {', '.join(sorted(_REGISTRY))})"
-        ) from None
+        )
+    factory = _REGISTRY[name]
+    try:
+        inspect.signature(factory).bind(**params)
+    except TypeError as exc:
+        raise InputError(f"model {name!r}: {exc}") from None
     return factory(**params)
 
 

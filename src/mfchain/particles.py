@@ -26,7 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .models import DomainError, Model
+from .errors import DomainExitError
+from .models import Model
 from .simplex import as_measure
 
 CHUNK = 5000
@@ -165,9 +166,10 @@ def gillespie_batch(
         mu = counts[idx] / N
         if check_region and not np.all(model.valid_region.contains(mu)):
             bad = idx[~model.valid_region.contains(mu)][0]
-            raise DomainError(
+            raise DomainExitError(
                 f"empirical measure of replication {int(reps_arr[bad])} left"
-                f" the valid region of {model.name!r} at t={t[bad]:.6g}"
+                f" the valid region of {model.name!r} at t={t[bad]:.6g}",
+                time=float(t[bad]),
             )
         A = model.rates(mu)
         W = counts[idx][:, :, None] * A

@@ -24,14 +24,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import InputError
+
 SUM_TOL = 1e-12
 
 #: default one-sided finite-difference step for the chord derivative
 FD_EPS = 1e-6
-
-
-class SimplexError(ValueError):
-    """Raised when a vector fails the simplex/tangent invariants."""
 
 
 def as_measure(weights, tol: float = SUM_TOL) -> np.ndarray:
@@ -42,12 +40,12 @@ def as_measure(weights, tol: float = SUM_TOL) -> np.ndarray:
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size < 2:
-        raise SimplexError(f"measure must be a 1-d vector of length >= 2, got shape {w.shape}")
+        raise InputError(f"measure must be a 1-d vector of length >= 2, got shape {w.shape}")
     if np.any(w < 0.0):
-        raise SimplexError(f"measure has negative entries: {w}")
+        raise InputError(f"measure has negative entries: {w}")
     s = w.sum()
     if abs(s - 1.0) > tol:
-        raise SimplexError(f"measure weights sum to {s!r}, not 1 (tol {tol})")
+        raise InputError(f"measure weights sum to {s!r}, not 1 (tol {tol})")
     return w / s
 
 
@@ -55,9 +53,9 @@ def as_tangent(v, tol: float = SUM_TOL) -> np.ndarray:
     """Validate a zero-sum vector."""
     q = np.asarray(v, dtype=float)
     if q.ndim != 1 or q.size < 2:
-        raise SimplexError(f"tangent must be a 1-d vector of length >= 2, got shape {q.shape}")
+        raise InputError(f"tangent must be a 1-d vector of length >= 2, got shape {q.shape}")
     if abs(q.sum()) > tol:
-        raise SimplexError(f"tangent entries sum to {q.sum()!r}, not 0 (tol {tol})")
+        raise InputError(f"tangent entries sum to {q.sum()!r}, not 0 (tol {tol})")
     return q
 
 
@@ -65,18 +63,18 @@ def l1_distance(a, b) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
-        raise SimplexError(f"dimension mismatch: {a.shape} vs {b.shape}")
+        raise InputError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(np.abs(a - b).sum())
 
 
 def mix(mu0, mu1, zeta: float) -> np.ndarray:
     """Convex combination (1-zeta) mu0 + zeta mu1."""
     if not 0.0 <= zeta <= 1.0:
-        raise SimplexError(f"mixing weight must lie in [0, 1], got {zeta}")
+        raise InputError(f"mixing weight must lie in [0, 1], got {zeta}")
     mu0 = np.asarray(mu0, dtype=float)
     mu1 = np.asarray(mu1, dtype=float)
     if mu0.shape != mu1.shape:
-        raise SimplexError(f"dimension mismatch: {mu0.shape} vs {mu1.shape}")
+        raise InputError(f"dimension mismatch: {mu0.shape} vs {mu1.shape}")
     return (1.0 - zeta) * mu0 + zeta * mu1
 
 
@@ -150,7 +148,7 @@ def linear_functional_derivative(field: ScalarField, mu, z: int) -> float:
     """delta F / delta m (mu, z) -- analytic when available, FD otherwise."""
     mu = as_measure(mu)
     if not 0 <= z < mu.size:
-        raise SimplexError(f"state index {z} out of range for d={mu.size}")
+        raise InputError(f"state index {z} out of range for d={mu.size}")
     if field.grad is not None:
         g = np.asarray(field.grad(mu), dtype=float)
         return float(g[z] - g @ mu)
@@ -288,4 +286,4 @@ def make_observable(name: str, **params) -> ScalarField:
         return linear_field(params["coeffs"])
     if name == "entropy":
         return entropy_field(params.get("shift", 0.1))
-    raise KeyError(f"unknown observable {name!r} (known: sq_dist, linear, entropy)")
+    raise InputError(f"unknown observable {name!r} (known: sq_dist, linear, entropy)")

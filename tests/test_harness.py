@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from mfchain.cli import main, parse_dotted
+from mfchain.errors import InputError
 from mfchain.harness import (
     COMMANDS,
-    HarnessError,
     _auto_value,
     _ols_loglog,
     config_hash,
@@ -36,9 +36,9 @@ def test_parse_config_text():
         "run.Ns": "8,16,32",
         "model.Q": "-1,1 ; 1,-1",
     }
-    with pytest.raises(HarnessError, match="key = value"):
+    with pytest.raises(InputError, match="key = value"):
         parse_config_text("just some words\n")
-    with pytest.raises(HarnessError, match="dotted"):
+    with pytest.raises(InputError, match="dotted"):
         parse_config_text("horizon = 20\n")
 
 
@@ -59,9 +59,9 @@ def test_model_from_config():
     assert q.M == 2.0
     z = model_from_config({"model.name": "zero", "model.d": "3"})
     assert z.d == 3
-    with pytest.raises(HarnessError, match="model.name"):
+    with pytest.raises(InputError, match="model.name"):
         model_from_config({})
-    with pytest.raises(HarnessError, match="unknown model"):
+    with pytest.raises(InputError, match="unknown model"):
         model_from_config({"model.name": "nope"})
 
 
@@ -141,11 +141,11 @@ def test_parse_dotted():
         "run.R": "500",
         "model.name": "zero",
     }
-    with pytest.raises(HarnessError, match="missing value"):
+    with pytest.raises(InputError, match="missing value"):
         parse_dotted(["--run.R"])
-    with pytest.raises(HarnessError, match="unrecognized"):
+    with pytest.raises(InputError, match="unrecognized"):
         parse_dotted(["--verbose"])
-    with pytest.raises(HarnessError, match="unrecognized"):
+    with pytest.raises(InputError, match="unrecognized"):
         parse_dotted(["stray"])
 
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from mfchain.errors import DomainExitError, SolverError
 from mfchain.kolmogorov import (
     CLIP_BUDGET,
-    DomainExitError,
-    IntegrationError,
     Trajectory,
     _make_measure_postproc,
     flow_map,
@@ -168,14 +167,14 @@ def test_postproc_clips_tiny_negative():
 
 def test_postproc_rejects_large_negative():
     pp = _make_measure_postproc(zero(2))
-    with pytest.raises(IntegrationError, match="reduce the step"):
+    with pytest.raises(SolverError, match="reduce the step"):
         pp(0.0, np.array([[-5e-10, 1.0 + 5e-10]]))
 
 
 def test_postproc_cumulative_budget():
     pp = _make_measure_postproc(zero(2))
     n_ok = int(CLIP_BUDGET / 9e-11)  # per-call clip below the floor trigger
-    with pytest.raises(IntegrationError, match="cumulative"):
+    with pytest.raises(SolverError, match="cumulative"):
         for _ in range(n_ok + 5):
             pp(0.0, np.array([[-9e-11, 1.0 + 9e-11]]))
 

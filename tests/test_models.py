@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from mfchain.errors import InputError
 from mfchain.models import (
-    DomainError,
     Model,
-    RateMatrixError,
     ValidRegion,
     check_rate_matrix,
     constant,
@@ -27,9 +26,9 @@ from conftest import measure_strategy
 
 def test_check_rate_matrix():
     check_rate_matrix([[-1.0, 1.0], [2.0, -2.0]])
-    with pytest.raises(RateMatrixError):
+    with pytest.raises(InputError):
         check_rate_matrix([[-1.0, 1.0], [-2.0, 2.0]])     # negative off-diag
-    with pytest.raises(RateMatrixError):
+    with pytest.raises(InputError):
         check_rate_matrix([[-1.0, 2.0], [1.0, -1.0]])     # bad row sum
 
 
@@ -157,7 +156,7 @@ def test_chaos_conservative_and_drift():
 def test_chaos_valid_region():
     ch = example_chaos()
     assert ch.valid_region.min_mass == 0.01
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError):
         eval_rates(ch, np.array([0.005, 0.395, 0.3, 0.3]))
     eval_rates(ch, np.array([0.25, 0.25, 0.25, 0.25]))
     # FD derivative tensor is still conservative row-wise
@@ -177,7 +176,7 @@ def test_constant_and_zero():
     assert (m.K, m.L, m.M) == (0.0, 1.0, 2.0)
     z = zero(3)
     assert np.all(z.rates(np.array([0.2, 0.3, 0.5])) == 0.0)
-    with pytest.raises(RateMatrixError):
+    with pytest.raises(InputError):
         constant(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
@@ -186,7 +185,7 @@ def test_registry():
     assert m.L == 1.0
     assert make_model("non_erg").name == "example_non_erg"
     assert make_model("chaos").d == 4
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError, match="unknown model"):
         make_model("missing_model")
     register_model("tiny", lambda: zero(2))
     assert make_model("tiny").name == "zero"
@@ -204,5 +203,5 @@ def test_rate_derivative_single_direction():
     # direction toward state 1 (0-based 0): d alpha_21 / dm = eps (1 - mu_1)
     assert D0[1, 0] == pytest.approx(0.25 * 0.5)
     assert D0[0, 1] == pytest.approx(-0.25 * 0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError):
         rate_derivative(m, np.array([0.5, 0.5]), 5)

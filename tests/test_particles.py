@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from mfchain.models import DomainError, Model, ValidRegion, constant, weak_interaction, zero
+from mfchain.errors import DomainExitError
+from mfchain.models import Model, ValidRegion, constant, weak_interaction, zero
 from mfchain.particles import (
     EmpiricalPath,
     gillespie_batch,
@@ -172,7 +173,7 @@ def test_domain_error_on_region_exit():
         rate_derivative=base.rate_derivative,
         valid_region=ValidRegion("min 0.3", min_mass=0.3),
     )
-    with pytest.raises(DomainError, match="left the valid region"):
+    with pytest.raises(DomainExitError, match="left the valid region"):
         gillespie_batch(
             guarded, np.array([[10, 10]]), seed=0, reps=np.arange(1),
             times=np.array([0.0, 50.0]),

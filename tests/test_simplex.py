@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mfchain import simplex
+from mfchain.errors import InputError
 from mfchain.simplex import (
     ScalarField,
     as_measure,
@@ -185,7 +186,7 @@ def test_make_observable():
     assert float(g(np.array([0.25, 0.75]))) == pytest.approx(0.5)
     ent = make_observable("entropy")
     assert np.isfinite(float(ent(np.array([1.0, 0.0]))))
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError, match="unknown observable"):
         make_observable("nope")
 
 
