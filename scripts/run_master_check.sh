@@ -5,5 +5,6 @@
 # directory.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
 python3 -m mfchain master-check --config configs/master_check.cfg \
     --out results/master_check "$@"

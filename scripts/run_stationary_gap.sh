@@ -5,5 +5,6 @@
 # directory.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
 python3 -m mfchain stationary-gap --config configs/stationary_gap.cfg \
     --out results/stationary_gap "$@"

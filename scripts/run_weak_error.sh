@@ -6,5 +6,6 @@
 # results/weak_error/ unless a later --out names another directory.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
 python3 -m mfchain weak-error --config configs/weak_error.cfg \
     --out results/weak_error "$@"

@@ -42,8 +42,15 @@ def parse_dotted(tokens: list) -> dict:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input: exit 1, not argparse's 2 ("inconclusive")."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mfchain",
         description="Mean-field jump systems: flows, particles, certificates.",
     )

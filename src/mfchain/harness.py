@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__, rng
-from .errors import InputError
+from .errors import DomainExitError, InputError
 from .kolmogorov import (
     DEFAULT_STEP,
     make_grid,
@@ -104,12 +104,21 @@ def cfg_str(cfg: dict, key: str, default: str) -> str:
     return str(cfg.get(key, default))
 
 
-def cfg_floats(cfg: dict, key: str, default: str) -> np.ndarray:
-    return np.array(_parsed(cfg, key, default, _list(float)))
-
-
 def cfg_ints(cfg: dict, key: str, default: str) -> list:
-    return _parsed(cfg, key, default, _list(int))
+    """The key's comma list of integers, which must not be empty."""
+    v = _parsed(cfg, key, default, _list(int))
+    if not v:
+        raise InputError(f"config key {key}: need at least one value")
+    return v
+
+
+def cfg_vector(cfg: dict, key: str, model: Model) -> np.ndarray:
+    """The key's comma list of floats, one entry per model state."""
+    v = np.array(_parsed(cfg, key, "", _list(float)))
+    if len(v) != model.d:
+        raise InputError(f"config key {key}: {len(v)} entries, but model"
+                         f" {model.name!r} has d = {model.d}")
+    return v
 
 
 def _auto_value(raw: str):
@@ -145,11 +154,11 @@ def observable_from_config(cfg: dict, model: Model) -> ScalarField:
     params: dict = {}
     if name == "sq_dist":
         if "observable.target" in cfg:
-            params["target"] = cfg_floats(cfg, "observable.target", "")
+            params["target"] = cfg_vector(cfg, "observable.target", model)
         else:
             params["target"], _ = stationary_distribution(model)
     elif name == "linear":
-        params["coeffs"] = cfg_floats(cfg, "observable.coeffs", "")
+        params["coeffs"] = cfg_vector(cfg, "observable.coeffs", model)
     elif name == "entropy":
         if "observable.shift" in cfg:
             params["shift"] = cfg_float(cfg, "observable.shift", 0.1)
@@ -158,7 +167,7 @@ def observable_from_config(cfg: dict, model: Model) -> ScalarField:
 
 def initial_measure(cfg: dict, model: Model) -> np.ndarray:
     if "init.mu" in cfg:
-        return as_measure(cfg_floats(cfg, "init.mu", ""))
+        return as_measure(cfg_vector(cfg, "init.mu", model))
     return barycenter(model.d)
 
 
@@ -239,32 +248,32 @@ def _ols_loglog(xs, ys):
 
 
 def certification_bundle(model: Model, cfg: dict, seed: int) -> dict:
-    res = cfg.get("certify.resolution")
     c1 = check_condition1(model, n_pairs=cfg_int(cfg, "certify.pairs", 10_000),
                           seed=seed)
-    c2 = check_condition2(model, resolution=None if res is None else int(res))
-    dec = estimate_decay(
-        model,
-        horizon=cfg_float(cfg, "decay.horizon", 20.0),
-        n_random=cfg_int(cfg, "decay.random", 8),
-        seed=seed,
-    )
+    c2 = check_condition2(model, resolution=cfg_int(cfg, "certify.resolution", 0)
+                          if "certify.resolution" in cfg else None)
+    horizon = cfg_float(cfg, "decay.horizon", 20.0)
+    n_random = cfg_int(cfg, "decay.random", 8)
+    try:
+        dec = estimate_decay(model, horizon=horizon, n_random=n_random, seed=seed)
+    except DomainExitError as exc:
+        # a probe that leaves the valid region is evidence, not a crash
+        decay = {"lambda": None, "c2": None, "per_sample_rates": None,
+                 "flagged": True, "horizon": horizon,
+                 "note": f"decay probe: {exc}"}
+    else:
+        decay = {"lambda": dec.rate, "c2": dec.c2,
+                 "per_sample_rates": dec.per_sample_rates,
+                 "flagged": dec.flagged, "horizon": horizon, "note": dec.note}
     for rep in (c1, c2):
         rep.estimated_constants.setdefault("L", c1.estimated_constants.get("L"))
         rep.estimated_constants.setdefault("K", c1.estimated_constants.get("K"))
-        rep.estimated_constants["lambda"] = dec.rate
-        rep.estimated_constants["c2"] = dec.c2
+        rep.estimated_constants["lambda"] = decay["lambda"]
+        rep.estimated_constants["c2"] = decay["c2"]
     return {
         "condition1": c1.to_json_dict(),
         "condition2": c2.to_json_dict(),
-        "decay": {
-            "lambda": dec.rate,
-            "c2": dec.c2,
-            "per_sample_rates": dec.per_sample_rates,
-            "flagged": dec.flagged,
-            "horizon": dec.horizon,
-            "note": dec.note,
-        },
+        "decay": decay,
         "certified": c1.verdict == "pass" or c2.verdict == "pass",
     }
 
@@ -370,7 +379,8 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
     tail = {
         "lambda": lam,
         "horizon": horizon,
-        "decay_factor": float(np.exp(-max(lam, 0.0) * horizon)),
+        "decay_factor": None if lam is None
+        else float(np.exp(-max(lam, 0.0) * horizon)),
         "note": (
             "sup over t is the recording-grid maximum; beyond the horizon the"
             " flow and the particle system are both within their stationary"

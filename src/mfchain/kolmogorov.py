@@ -28,21 +28,12 @@ CLIP_BUDGET = 1e-8        # cumulative clipped mass per trajectory
 
 def make_grid(horizon: float, spacing: float) -> np.ndarray:
     """Uniform recording grid 0, spacing, 2*spacing, ..., <= horizon."""
-    if horizon < 0 or spacing <= 0:
-        raise InputError("need horizon >= 0 and spacing > 0")
+    if not (0 <= horizon < np.inf and 0 < spacing < np.inf):
+        raise InputError(
+            f"need a finite horizon >= 0 and spacing > 0, got {horizon}, {spacing}"
+        )
     n = int(np.floor(horizon / spacing + 1e-9))
     return spacing * np.arange(n + 1)
-
-
-def validate_grid(times, require_zero_start: bool = True) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
-        raise ValueError("recording grid must be a non-empty finite 1-d array")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("recording grid must be strictly increasing")
-    if times[0] < 0 or (require_zero_start and times[0] != 0.0):
-        raise ValueError("recording grid must start at t = 0")
-    return times
 
 
 @dataclass
@@ -69,7 +60,7 @@ def rk4_segments(
     """
     y = np.array(y0, dtype=float)
     if y.ndim != 2:
-        raise ValueError("rk4_segments expects a (B, n) state block")
+        raise InputError("rk4_segments expects a (B, n) state block")
     T = len(times)
     out = np.empty((y.shape[0], T, y.shape[1]))
     out[:, 0] = y
@@ -116,7 +107,7 @@ def _make_measure_postproc(model: Model):
         if not np.all(model.valid_region.contains(y)):
             raise DomainExitError(
                 f"trajectory left the valid region of {model.name!r}"
-                f" at t={t:.6g}",
+                f" ({model.valid_region.description}) at t={t:.6g}",
                 time=t,
             )
         return y
@@ -144,10 +135,13 @@ def solve_flow(
     """
     times = np.asarray(times, dtype=float)
     if (times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
-            or np.any(np.diff(times) < 0)):
-        raise ValueError(
-            "recording grid must be a non-empty finite non-decreasing 1-d array"
+            or times[0] < 0 or np.any(np.diff(times) < 0)):
+        raise InputError(
+            "recording grid must be a non-empty finite non-decreasing 1-d"
+            " array of times >= 0"
         )
+    if not 0 < step < np.inf:
+        raise InputError(f"need a finite step > 0, got {step}")
     mu0s = np.atleast_2d(np.asarray(mu0s, dtype=float))
     B, d = mu0s.shape
     Q0 = np.zeros((B, 0, d)) if Q0 is None else np.asarray(Q0, dtype=float)
@@ -186,7 +180,7 @@ def solve_kolmogorov(
     model: Model, mu0, times, step: float = DEFAULT_STEP
 ) -> Trajectory:
     """Solve the nonlinear forward equation, recording on `times`."""
-    times = validate_grid(times, require_zero_start=False)
+    times = np.asarray(times, dtype=float)
     mu0 = as_measure(mu0)
     states = solve_flow(model, mu0[None, :], times, step)[0][0]
     return Trajectory(times=times, states=states, model_name=model.name)

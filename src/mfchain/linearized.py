@@ -26,7 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .kolmogorov import DEFAULT_STEP, solve_flow
+from .errors import InputError
+from .kolmogorov import DEFAULT_STEP, make_grid, solve_flow
 from .models import Model, estimate_lipschitz, margin_matrix
 from .simplex import as_measure, as_tangent, barycenter, dirac, simplex_lattice
 
@@ -149,7 +150,11 @@ def estimate_decay(
         samples.extend(rng.random_measures(seed, n_random, d, floor=floor))
     mus = np.asarray(samples)
     B = len(mus)
-    times = np.arange(0.0, horizon + 1e-9, spacing)
+    times = make_grid(horizon, spacing)
+    if len(times) < 2:
+        raise InputError(
+            f"decay fit needs horizon >= spacing, got {horizon} < {spacing}"
+        )
     _, tangents = solve_flow(
         model, mus, times, step, Q0=np.eye(d) - mus[:, None, :]
     )
@@ -206,7 +211,7 @@ def nonlinear_contraction_rate(
     floor = max(0.01, model.valid_region.min_mass + 0.005)
     mus = rng.random_measures(seed, n_pairs, model.d, floor=floor)
     nus = rng.random_measures(seed, n_pairs, model.d, floor=floor, rep=1)
-    times = np.arange(0.0, horizon + 1e-9, spacing)
+    times = make_grid(horizon, spacing)
     a = solve_flow(model, mus, times, step)[0]
     b = solve_flow(model, nus, times, step)[0]
     dist = np.abs(a - b).sum(axis=2)
@@ -256,6 +261,8 @@ def check_condition1(
     model: Model, n_pairs: int = 10_000, seed: int = 0
 ) -> ErgodicityReport:
     """Small-interaction certificate: K < L / d."""
+    if n_pairs < 1:
+        raise InputError(f"need n_pairs >= 1, got {n_pairs}")
     notes = []
     K = model.K
     if K is None:
@@ -300,7 +307,7 @@ def check_condition2(
     inside = model.valid_region.contains(lattice)
     lattice = lattice[inside]
     if len(lattice) == 0:
-        raise ValueError("no lattice points inside the model's valid region")
+        raise InputError("no lattice points inside the model's valid region")
 
     offmask = ~np.eye(d, dtype=bool)
     best = np.inf

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .kolmogorov import DEFAULT_STEP, solve_flow
 from .models import Model
 from .simplex import (
@@ -85,10 +86,12 @@ def master_residual_scan(
     so the base flows and tangent frames are integrated together regardless
     of how many cases are requested.
     """
+    if len(cases) == 0:
+        raise InputError("master residual scan needs at least one case")
     ts = np.array([float(c[0]) for c in cases])
     mus = np.array([as_measure(c[1]) for c in cases])
     if np.any(ts <= dt):
-        raise ValueError(f"master residual stencil needs t > {dt}")
+        raise InputError(f"master residual stencil needs t > {dt}")
     B, d = mus.shape
 
     offsets = np.array([-dt, -dt / 2.0, dt / 2.0, dt])
@@ -141,7 +144,7 @@ def tau_remainder(
     d = obs.model.d
     x = int(config[i])
     if not (0 <= z < d and 0 <= x < d):
-        raise ValueError("state index out of range")
+        raise InputError("state index out of range")
     if x == z:
         return 0.0
     counts = np.bincount(config, minlength=d).astype(float)

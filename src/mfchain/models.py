@@ -17,6 +17,7 @@ row vector ``mu @ alpha(mu)``.
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -31,16 +32,21 @@ ROW_SUM_TOL = 1e-12
 
 def check_rate_matrix(A, tol: float = ROW_SUM_TOL) -> np.ndarray:
     """Validate off-diagonal positivity and zero row sums; returns A."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InputError(f"rate matrix must be square, got shape {A.shape}")
+    A = np.asarray(A)
+    if (A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 2
+            or not np.issubdtype(A.dtype, np.number)):
+        raise InputError("rate matrix must be numeric, square and at least"
+                         f" 2 x 2, got shape {A.shape} of {A.dtype}")
+    A = A.astype(float)
+    if not np.all(np.isfinite(A)):
+        raise InputError("rate matrix has non-finite entries")
     off = A.copy()
     np.fill_diagonal(off, 0.0)
     if np.any(off < 0.0):
         raise InputError("negative off-diagonal rate")
     rowsum = A.sum(axis=1)
     if np.any(np.abs(rowsum) > tol):
-        raise InputError(f"row sums not zero: {rowsum}")
+        raise InputError(f"row sums not zero: {rowsum.tolist()}")
     return A
 
 
@@ -82,7 +88,9 @@ def eval_rates(model: Model, mu) -> np.ndarray:
     model.require_valid(mu)
     A = model.rates(mu)
     if not np.all(np.isfinite(A)):
-        raise InputError(f"non-finite rates for model {model.name!r} at {mu}")
+        raise InputError(
+            f"non-finite rates for model {model.name!r} at {mu.tolist()}"
+        )
     return A
 
 
@@ -240,8 +248,9 @@ def weak_interaction(a: float = 1.0, b: float = 1.0, eps: float = 0.25) -> Model
     eps < min(a, b)/2.  (The interaction terms cancel in the drift, which
     makes the mean-field flow affine with contraction rate a + b.)
     """
-    if a <= 0 or b <= 0 or eps < 0:
-        raise InputError("need a, b > 0 and eps >= 0")
+    if (not all(isinstance(v, numbers.Real) and np.isfinite(v)
+                for v in (a, b, eps)) or a <= 0 or b <= 0 or eps < 0):
+        raise InputError("need real numbers a, b > 0 and eps >= 0")
 
     def rates(mu):
         mu = np.asarray(mu, dtype=float)
@@ -339,6 +348,8 @@ def constant(Q) -> Model:
 
 def zero(d: int = 2) -> Model:
     """Frozen dynamics: all rates identically zero."""
+    if not isinstance(d, numbers.Integral) or d < 2:
+        raise InputError("need an integer d >= 2")
     m = constant(np.zeros((d, d)))
     return Model(
         name="zero",

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .errors import DomainExitError
+from .errors import DomainExitError, InputError, SolverError
 from .models import Model
 from .simplex import as_measure
 
@@ -73,6 +73,8 @@ def sample_initial(mu0, N: int, seed: int, reps) -> np.ndarray:
     (seed, r, N) always yields the same configuration.
     """
     mu0 = as_measure(mu0)
+    if N < 1:
+        raise InputError(f"need N >= 1 particles, got {N}")
     d = len(mu0)
     scalar = np.isscalar(reps)
     reps_arr = np.atleast_1d(np.asarray(reps, dtype=np.uint64))
@@ -113,22 +115,24 @@ def gillespie_batch(
     Ns = counts.sum(axis=1)
     N = int(Ns[0])
     if not np.all(Ns == N):
-        raise ValueError("all replications must have the same particle count")
+        raise InputError("all replications must have the same particle count")
+    if N < 1:
+        raise InputError(f"need N >= 1 particles, got {N}")
     if times is None and (phi is None or end is None):
-        raise ValueError("need a recording grid, or phi with an end time")
+        raise InputError("need a recording grid, or phi with an end time")
     if times is not None:
         times = np.asarray(times, dtype=float)
     horizon = float(times[-1]) if times is not None else float(end)
     if phi is not None:
         end = horizon if end is None else float(end)
         if not 0.0 <= burn < end:
-            raise ValueError("need 0 <= burn < end")
+            raise InputError("need 0 <= burn < end")
     if max_events is None:
         max_events = 10**9
 
     reps_arr = np.atleast_1d(np.asarray(reps, dtype=np.uint64))
     if len(reps_arr) != R:
-        raise ValueError("reps must match the number of rows in counts0")
+        raise InputError("reps must match the number of rows in counts0")
     ekeys = rng.domain_key(rng.stream_key(seed, reps_arr), rng.DOMAIN_EVENTS)
 
     T = len(times) if times is not None else 0
@@ -216,7 +220,7 @@ def gillespie_batch(
         t[idx] = t_new
         k[idx] += np.uint64(1)
         if np.any(events[idx] > max_events):
-            raise RuntimeError(f"exceeded max_events={max_events}")
+            raise SolverError(f"exceeded max_events={max_events}")
 
         done = np.ones(len(idx), dtype=bool)
         if grid is not None:
@@ -289,7 +293,7 @@ def mc_moments(values: Callable[[int, int], tuple], R: int,
     one (r, k, T) array can differ in the last bits (seen at T = 1).
     """
     if R < 1:
-        raise ValueError("need at least one replication")
+        raise InputError(f"need at least one replication, got R = {R}")
 
     def sums(lo, hi):
         return [(x.sum(axis=0), (x * x).sum(axis=0)) for x in values(lo, hi)]

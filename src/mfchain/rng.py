@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
 PHI = np.uint64(0x9E3779B97F4A7C15)
@@ -110,7 +112,7 @@ def random_measures(seed: int, n: int, d: int, floor: float = 0.0, rep: int = 0)
     coordinate is at least ``floor``.
     """
     if not 0.0 <= floor * d < 1.0:
-        raise ValueError("floor must satisfy 0 <= floor*d < 1")
+        raise InputError("floor must satisfy 0 <= floor*d < 1")
     u = uniform_block(seed, rep, DOMAIN_SCAN, 0, n * d).reshape(n, d)
     e = -np.log(u)
     w = e / e.sum(axis=1, keepdims=True)

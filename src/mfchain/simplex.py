@@ -41,8 +41,8 @@ def as_measure(weights, tol: float = SUM_TOL) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size < 2:
         raise InputError(f"measure must be a 1-d vector of length >= 2, got shape {w.shape}")
-    if np.any(w < 0.0):
-        raise InputError(f"measure has negative entries: {w}")
+    if not np.all(w >= 0.0):
+        raise InputError(f"measure has negative or NaN entries: {w.tolist()}")
     s = w.sum()
     if abs(s - 1.0) > tol:
         raise InputError(f"measure weights sum to {s!r}, not 1 (tol {tol})")
@@ -54,7 +54,7 @@ def as_tangent(v, tol: float = SUM_TOL) -> np.ndarray:
     q = np.asarray(v, dtype=float)
     if q.ndim != 1 or q.size < 2:
         raise InputError(f"tangent must be a 1-d vector of length >= 2, got shape {q.shape}")
-    if abs(q.sum()) > tol:
+    if not abs(q.sum()) <= tol:
         raise InputError(f"tangent entries sum to {q.sum()!r}, not 0 (tol {tol})")
     return q
 
@@ -166,7 +166,7 @@ def directional_derivative(field: ScalarField, mu, y: int, z: int) -> float:
 def simpson_weights(n: int) -> np.ndarray:
     """Composite Simpson weights for n (odd, >= 3) equispaced nodes on [0, 1]."""
     if n < 3 or n % 2 == 0:
-        raise ValueError(f"composite Simpson needs an odd node count >= 3, got {n}")
+        raise InputError(f"composite Simpson needs an odd node count >= 3, got {n}")
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -181,7 +181,7 @@ def ftc_difference(field: ScalarField, mu0, mu1, quad_points: int = 33) -> float
     ``quad_points`` is rounded up to the next odd count if necessary.
     """
     if quad_points < 2:
-        raise ValueError("quad_points must be >= 2")
+        raise InputError("quad_points must be >= 2")
     n = quad_points if quad_points % 2 == 1 else quad_points + 1
     mu0 = as_measure(mu0)
     mu1 = as_measure(mu1)
@@ -209,7 +209,7 @@ def ftc_difference(field: ScalarField, mu0, mu1, quad_points: int = 33) -> float
 def simplex_lattice(d: int, resolution: int) -> np.ndarray:
     """All points of S_d with coordinates k/resolution, in lexicographic order."""
     if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+        raise InputError("resolution must be >= 1")
     pts = []
     for cut in combinations_with_replacement(range(resolution + 1), d - 1):
         counts = np.diff((0,) + cut + (resolution,))
@@ -251,8 +251,8 @@ def entropy_field(shift: float = 0.1) -> ScalarField:
 
     The shift keeps the field smooth on the closed simplex.
     """
-    if shift <= 0:
-        raise ValueError("shift must be positive")
+    if not 0 < shift < np.inf:
+        raise InputError(f"shift must be finite and positive, got {shift}")
 
     def fn(mu):
         return np.sum((mu + shift) * np.log(mu + shift), axis=-1)

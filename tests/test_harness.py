@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+
+from mfchain import models
 
 from mfchain.cli import main, parse_dotted
 from mfchain.errors import InputError
@@ -217,6 +223,101 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     assert main(["solve", "--badflag", "--out", str(tmp_path / "y")]) == 1
     assert "unrecognized" in capsys.readouterr().err
+    # usage errors are bad input (exit 1), not argparse's 2 ("inconclusive")
+    for argv, words in ((["bogus"], "invalid choice"),
+                        ([], "required"),
+                        (["solve", "--threads=x"], "invalid int value")):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mfchain: error:") and err.count("\n") == 1
+        assert words in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+MALFORMED = [
+    # the empirical measure of N = 0 particles is 0/0; this used to hang
+    "simulate --model.name=weak_interaction --run.N=0 --run.horizon=1",
+    "simulate --model.name=weak_interaction --run.R=0 --run.horizon=1",
+    "master-check --model.name=weak_interaction --master.cases=0",
+    "decay-fit --model.name=weak_interaction --decay.horizon=0",
+    "solve --model.name=weak_interaction --init.mu=0.5,0.5,0",
+    "solve --model.name=constant --model.Q=1,2;3",
+    "solve --model.name=weak_interaction --model.foo=1",
+    "solve --model.name=weak_interaction --run.horizon=abc",
+]
+
+
+@pytest.mark.parametrize("line", MALFORMED)
+def test_cli_rejects_malformed_input(line, tmp_path, capfd):
+    assert main(line.split() + ["--out", str(tmp_path / "o")]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("mfchain: error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "o" / "report.json")
+
+
+# small sizes for the commands, then overrides drawn from malformed and
+# edge values, so every run ends in well under a second
+FUZZ_SIZES = {
+    "solve": st.fixed_dictionaries({
+        "run.horizon": st.sampled_from(["0.5", "1", "2"]),
+        "run.spacing": st.sampled_from(["0.25", "0.5"])}),
+    "simulate": st.fixed_dictionaries({
+        "run.N": st.sampled_from(["1", "2", "8"]),
+        "run.R": st.sampled_from(["1", "2", "3"]),
+        "run.horizon": st.sampled_from(["0.5", "2"]),
+        "run.spacing": st.sampled_from(["0.25", "0.5"])}),
+    "decay-fit": st.fixed_dictionaries({
+        "decay.horizon": st.sampled_from(["1", "2"]),
+        "decay.random": st.sampled_from(["0", "2"])}),
+}
+FUZZ_KEYS = ["run.N", "run.R", "run.horizon", "run.spacing", "init.mu",
+             "model.a", "model.eps", "model.d", "model.Q", "model.foo",
+             "observable.name"]
+FUZZ_VALUES = ["", "abc", "nan", "inf", "-inf", "-1", "0", "1e400", "0.3",
+               "2", "0.5,0.5", "0.5,0.5,0", "1,0", "nan,1", "-1,1;1,-1",
+               "1,2;3", "0,0;0,0", "sq_dist", "linear", "entropy"]
+
+
+@given(
+    command=st.sampled_from(sorted(FUZZ_SIZES)),
+    name=st.sampled_from(sorted(models._REGISTRY)),
+    data=st.data(),
+    overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS),
+                              st.sampled_from(FUZZ_VALUES), max_size=3),
+)
+def test_cli_fuzz_exit_codes(command, name, data, overrides):
+    cfg = {"model.name": name, **data.draw(FUZZ_SIZES[command]), **overrides}
+    argv = [command] + [f"--{k}={v}" for k, v in cfg.items()]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        rc = main(argv + ["--out", out])
+        wrote = os.path.exists(os.path.join(out, "report.json"))
+    # an unexpected exception would have propagated out of main
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if rc == 1:
+        assert err.getvalue().startswith("mfchain: error:"), err.getvalue()
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+    else:
+        assert wrote
+
+
+def test_cli_certify_chaos_records_region_exit(tmp_path):
+    # the decay probe leaves the model's valid region at once; that is
+    # recorded under decay, and condition 2's witness decides the verdict
+    out = tmp_path / "chaos"
+    assert main(["certify", "--model.name=example_chaos", "--out", str(out)]) == 3
+    rep = json.load(open(out / "report.json"))
+    dec = rep["decay"]
+    assert dec["lambda"] is None and dec["c2"] is None and dec["flagged"]
+    assert "valid region" in dec["note"] and "min_x mu_x >= 0.01" in dec["note"]
+    assert "t=0.01" in dec["note"]
+    assert rep["verdict"] == "fail"
+    assert rep["condition2"]["margin"] == pytest.approx(-150.6, abs=0.05)
+    assert (rep["condition2"]["witness"]["x"], rep["condition2"]["witness"]["y"]) == (1, 4)
 
 
 def test_cli_certify_three_regimes(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from mfchain.errors import DomainExitError, SolverError
+from mfchain.errors import DomainExitError, InputError, SolverError
 from mfchain.kolmogorov import (
     CLIP_BUDGET,
     Trajectory,
@@ -15,7 +15,6 @@ from mfchain.kolmogorov import (
     solve_flow,
     solve_kolmogorov,
     stationary_distribution,
-    validate_grid,
 )
 from mfchain.models import (
     Model,
@@ -40,21 +39,6 @@ def test_make_grid_exact():
         make_grid(-1.0, 0.1)
     with pytest.raises(ValueError):
         make_grid(1.0, 0.0)
-
-
-def test_validate_grid():
-    validate_grid([0.0, 0.5, 1.0])
-    with pytest.raises(ValueError):
-        validate_grid([0.5, 1.0])                    # must start at zero
-    validate_grid([0.5, 1.0], require_zero_start=False)
-    with pytest.raises(ValueError):
-        validate_grid([0.0, 1.0, 1.0])               # not strictly increasing
-    with pytest.raises(ValueError):
-        validate_grid([])
-    with pytest.raises(ValueError):
-        validate_grid([0.0, np.inf])
-    with pytest.raises(ValueError):
-        validate_grid([-1.0, 1.0], require_zero_start=False)
 
 
 def test_solve_matches_closed_form_slow_conv():
@@ -151,9 +135,18 @@ def test_zero_length_interval_records_start_without_rhs():
 
 def test_solve_flow_rejects_bad_grids():
     model = weak_interaction()
-    for times in ([0.0, 1.0, 0.5], [[0.0, 1.0]], [0.0, np.nan], []):
-        with pytest.raises(ValueError):
+    bad = ([0.0, 1.0, 0.5], [[0.0, 1.0]], [0.0, np.nan], [0.0, np.inf], [],
+           [-1.0, 1.0])
+    for times in bad:
+        with pytest.raises(InputError, match="recording grid"):
             solve_flow(model, [[0.9, 0.1]], times)
+        with pytest.raises(InputError, match="recording grid"):
+            solve_kolmogorov(model, [0.9, 0.1], times)
+    # a grid may start after t = 0 and may repeat a time
+    for times in ([0.5, 1.0], [0.0, 1.0, 1.0]):
+        traj = solve_kolmogorov(model, [0.9, 0.1], times)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states[0], [0.9, 0.1])
 
 
 # --- postprocessor safeguards ------------------------------------------------
