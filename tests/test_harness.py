@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mfchain import models
-
 from mfchain.cli import main, parse_dotted
 from mfchain.errors import InputError
 from mfchain.harness import (
