@@ -59,7 +59,7 @@ class ValidRegion:
 
     def contains(self, mu) -> np.ndarray:
         mu = np.asarray(mu, dtype=float)
-        return np.min(mu, axis=-1) >= self.min_mass - 1e-12
+        return mu.min(axis=-1) >= self.min_mass - 1e-12
 
 
 @dataclass(frozen=True)

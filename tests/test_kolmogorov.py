@@ -133,17 +133,25 @@ def test_zero_length_interval_records_start_without_rhs():
     assert np.array_equal(repeated[0], plain[0][[0, 1, 1, 2]])
 
 
+BAD_GRIDS = ([0.0, 1.0, 0.5], [[0.0, 1.0]], [0.0, np.nan], [0.0, np.inf], [],
+             [-1.0, 1.0])
+
+
 def test_solve_flow_rejects_bad_grids():
     model = weak_interaction()
-    bad = ([0.0, 1.0, 0.5], [[0.0, 1.0]], [0.0, np.nan], [0.0, np.inf], [],
-           [-1.0, 1.0])
-    for times in bad:
+    for times in BAD_GRIDS:
         with pytest.raises(InputError, match="recording grid"):
             solve_flow(model, [[0.9, 0.1]], times)
+
+
+def test_validate_grid():
+    # solve_kolmogorov has no grid check of its own: it relies on solve_flow's
+    model = weak_interaction()
+    for times in BAD_GRIDS:
         with pytest.raises(InputError, match="recording grid"):
             solve_kolmogorov(model, [0.9, 0.1], times)
     # a grid may start after t = 0 and may repeat a time
-    for times in ([0.5, 1.0], [0.0, 1.0, 1.0]):
+    for times in ([0.0, 0.5, 1.0], [0.5, 1.0], [0.0, 1.0, 1.0]):
         traj = solve_kolmogorov(model, [0.9, 0.1], times)
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.states[0], [0.9, 0.1])
