@@ -17,7 +17,7 @@ import sys
 from typing import Optional
 
 from .errors import InputError, MfchainError
-from .harness import COMMANDS, cfg_int, load_config
+from .harness import COMMANDS, cfg_int, load_config, run_command
 
 
 def parse_dotted(tokens: list) -> dict:
@@ -75,9 +75,8 @@ def main(argv: Optional[list] = None) -> int:
         cfg.update(overrides)
         seed = args.seed if args.seed is not None else cfg_int(cfg, "run.seed", 0)
         out = args.out if args.out else os.path.join("mfchain_out", args.command)
-        runner = COMMANDS[args.command]
-        return int(runner(cfg, out, seed, threads=args.threads,
-                          force=args.force))
+        return run_command(args.command, cfg, out, seed,
+                           threads=args.threads, force=args.force)
     except MfchainError as exc:
         print(f"mfchain: error: {exc}", file=sys.stderr)
         return 1

@@ -41,7 +41,6 @@ from .particles import (gillespie_batch, mc_moments, mc_observable, run_chunks,
 from .simplex import ScalarField, as_measure, barycenter, make_observable
 
 EXIT_PASS = 0
-EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_FAIL = 3
 
@@ -156,7 +155,8 @@ def observable_from_config(cfg: dict, model: Model) -> ScalarField:
         if "observable.target" in cfg:
             params["target"] = cfg_vector(cfg, "observable.target", model)
         else:
-            params["target"], _ = stationary_distribution(model)
+            params["target"], _ = stationary_distribution(model,
+                                                          step=run_step(cfg))
     elif name == "linear":
         params["coeffs"] = cfg_vector(cfg, "observable.coeffs", model)
     elif name == "entropy":
@@ -169,6 +169,42 @@ def initial_measure(cfg: dict, model: Model) -> np.ndarray:
     if "init.mu" in cfg:
         return as_measure(cfg_vector(cfg, "init.mu", model))
     return barycenter(model.d)
+
+
+# ---------------------------------------------------------------------------
+# settings the commands share: each key is read here and nowhere else
+
+
+def run_step(cfg: dict) -> float:
+    """The RK4 step of every flow a command solves."""
+    return cfg_float(cfg, "run.step", DEFAULT_STEP)
+
+
+def run_grid(cfg: dict) -> tuple:
+    """(run.horizon, its recording grid) for solve, simulate and weak-error."""
+    horizon = cfg_float(cfg, "run.horizon", 20.0)
+    return horizon, make_grid(horizon, cfg_float(cfg, "run.spacing", 0.25))
+
+
+def decay_probe(model: Model, cfg: dict, seed: int) -> dict:
+    """The linearized decay fit as a report record.
+
+    A probe that leaves the model's valid region is evidence, not a crash:
+    it is recorded as flagged, with null lambda and c2 and the exit in note.
+    """
+    horizon = cfg_float(cfg, "decay.horizon", 20.0)
+    try:
+        dec = estimate_decay(model, horizon=horizon,
+                             spacing=cfg_float(cfg, "decay.spacing", 0.25),
+                             n_random=cfg_int(cfg, "decay.random", 8),
+                             seed=seed, step=run_step(cfg))
+    except DomainExitError as exc:
+        return {"lambda": None, "c2": None, "per_sample_rates": None,
+                "flagged": True, "horizon": horizon,
+                "note": f"decay probe: {exc}"}
+    return {"lambda": dec.rate, "c2": dec.c2,
+            "per_sample_rates": dec.per_sample_rates,
+            "flagged": dec.flagged, "horizon": horizon, "note": dec.note}
 
 
 # ---------------------------------------------------------------------------
@@ -252,19 +288,7 @@ def certification_bundle(model: Model, cfg: dict, seed: int) -> dict:
                           seed=seed)
     c2 = check_condition2(model, resolution=cfg_int(cfg, "certify.resolution", 0)
                           if "certify.resolution" in cfg else None)
-    horizon = cfg_float(cfg, "decay.horizon", 20.0)
-    n_random = cfg_int(cfg, "decay.random", 8)
-    try:
-        dec = estimate_decay(model, horizon=horizon, n_random=n_random, seed=seed)
-    except DomainExitError as exc:
-        # a probe that leaves the valid region is evidence, not a crash
-        decay = {"lambda": None, "c2": None, "per_sample_rates": None,
-                 "flagged": True, "horizon": horizon,
-                 "note": f"decay probe: {exc}"}
-    else:
-        decay = {"lambda": dec.rate, "c2": dec.c2,
-                 "per_sample_rates": dec.per_sample_rates,
-                 "flagged": dec.flagged, "horizon": horizon, "note": dec.note}
+    decay = decay_probe(model, cfg, seed)
     for rep in (c1, c2):
         rep.estimated_constants.setdefault("L", c1.estimated_constants.get("L"))
         rep.estimated_constants.setdefault("K", c1.estimated_constants.get("K"))
@@ -283,16 +307,13 @@ def certification_bundle(model: Model, cfg: dict, seed: int) -> dict:
 
 
 def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
-                   force: bool = False) -> int:
+                   force: bool = False) -> dict:
     model = model_from_config(cfg)
     phi = observable_from_config(cfg, model)
     mu0 = initial_measure(cfg, model)
-    horizon = cfg_float(cfg, "run.horizon", 20.0)
-    spacing = cfg_float(cfg, "run.spacing", 0.25)
+    horizon, times = run_grid(cfg)
     R = cfg_int(cfg, "run.R", 20_000)
     Ns = cfg_ints(cfg, "run.Ns", "8,16,32,64,128,256")
-    step = cfg_float(cfg, "run.step", DEFAULT_STEP)
-    times = make_grid(horizon, spacing)
     T = len(times)
 
     bundle = certification_bundle(model, cfg, seed)
@@ -320,7 +341,8 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
         starts.append(uniq_by_N[N] / N)
         offsets[N] = pos
         pos += len(uniq_by_N[N])
-    flows, _ = solve_flow(model, np.concatenate(starts, axis=0), times, step)
+    flows, _ = solve_flow(model, np.concatenate(starts, axis=0), times,
+                          run_step(cfg))
     u_curve = phi(flows[0])                                    # U(t, mu0)
 
     per_N = []
@@ -389,8 +411,7 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
         ),
     }
 
-    report = report_envelope("weak-error", cfg, seed)
-    report.update({
+    return {
         "certificates": bundle,
         "grid": times,
         "u_curve": u_curve,
@@ -402,9 +423,7 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
         "verdict": "inconclusive" if inconclusive else "conclusive",
         "R_needed": r_needed,
         "exit_code": EXIT_INCONCLUSIVE if inconclusive else EXIT_PASS,
-    })
-    write_json(os.path.join(out, "report.json"), report)
-    return report["exit_code"]
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -412,21 +431,22 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
 
 
 def run_stationary_gap(cfg: dict, out: str, seed: int, threads: int = 1,
-                       force: bool = False) -> int:
+                       force: bool = False) -> dict:
     model = model_from_config(cfg)
     nu, info = stationary_distribution(model,
                                        mu0=initial_measure(cfg, model)
-                                       if "init.mu" in cfg else None)
+                                       if "init.mu" in cfg else None,
+                                       step=run_step(cfg))
     phi = observable_from_config(cfg, model)
-    dec = estimate_decay(model, horizon=cfg_float(cfg, "decay.horizon", 20.0),
-                         seed=seed)
-    if dec.flagged and not force:
+    decay = decay_probe(model, cfg, seed)
+    if decay["flagged"] and not force:
         raise InputError(
             "no linearized decay detected; burn-in calibration is undefined."
             "  Re-run with --force and an explicit gap.burn."
         )
-    lam = dec.rate
-    burn = cfg_float(cfg, "gap.burn", 10.0 / lam if lam > 0 else 5.0)
+    lam = decay["lambda"]
+    burn = cfg_float(cfg, "gap.burn",
+                     10.0 / lam if lam is not None and lam > 0 else 5.0)
     window = cfg_float(cfg, "gap.window", 10.0)
     R = cfg_int(cfg, "gap.R", 400)
     Ns = cfg_ints(cfg, "gap.Ns", "10,100,1000")
@@ -457,8 +477,13 @@ def run_stationary_gap(cfg: dict, out: str, seed: int, threads: int = 1,
     if inconclusive and np.all(gaps > 0):
         r_needed = int(np.ceil(R * float(np.max(2 * 1.96 * errs / gaps)) ** 2))
 
-    report = report_envelope("stationary-gap", cfg, seed)
-    report.update({
+    write_csv(
+        os.path.join(out, "gap.csv"),
+        ["N", "gap", "stderr", "R", "window", "burn"],
+        [(rec["N"], rec["gap"], rec["stderr"], rec["R"], window, burn)
+         for rec in per_N],
+    )
+    return {
         "nu_infinity": nu,
         "phi_at_nu": phi_ref,
         "stationary_info": info,
@@ -471,15 +496,7 @@ def run_stationary_gap(cfg: dict, out: str, seed: int, threads: int = 1,
         "verdict": "inconclusive" if inconclusive else "conclusive",
         "R_needed": r_needed,
         "exit_code": EXIT_INCONCLUSIVE if inconclusive else EXIT_PASS,
-    })
-    write_json(os.path.join(out, "report.json"), report)
-    write_csv(
-        os.path.join(out, "gap.csv"),
-        ["N", "gap", "stderr", "R", "window", "burn"],
-        [(rec["N"], rec["gap"], rec["stderr"], rec["R"], window, burn)
-         for rec in per_N],
-    )
-    return report["exit_code"]
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +504,7 @@ def run_stationary_gap(cfg: dict, out: str, seed: int, threads: int = 1,
 
 
 def run_certify(cfg: dict, out: str, seed: int, threads: int = 1,
-                force: bool = False) -> int:
+                force: bool = False) -> dict:
     model = model_from_config(cfg)
     bundle = certification_bundle(model, cfg, seed)
     if bundle["certified"]:
@@ -496,25 +513,21 @@ def run_certify(cfg: dict, out: str, seed: int, threads: int = 1,
         code, verdict = EXIT_FAIL, "fail"
     else:
         code, verdict = EXIT_INCONCLUSIVE, "inconclusive"
-    report = report_envelope("certify", cfg, seed)
-    report.update({
+    return {
         "model": model.name,
         "condition1": bundle["condition1"],
         "condition2": bundle["condition2"],
         "decay": bundle["decay"],
         "verdict": verdict,
         "exit_code": code,
-    })
-    write_json(os.path.join(out, "report.json"), report)
-    return code
+    }
 
 
 def run_master_check(cfg: dict, out: str, seed: int, threads: int = 1,
-                     force: bool = False) -> int:
+                     force: bool = False) -> dict:
     model = model_from_config(cfg)
     phi = observable_from_config(cfg, model)
-    obs = PropagatedObservable(model, phi,
-                               step=cfg_float(cfg, "run.step", DEFAULT_STEP))
+    obs = PropagatedObservable(model, phi, step=run_step(cfg))
     n = cfg_int(cfg, "master.cases", 100)
     tmin = cfg_float(cfg, "master.tmin", 0.5)
     tmax = cfg_float(cfg, "master.tmax", 3.0)
@@ -539,79 +552,49 @@ def run_master_check(cfg: dict, out: str, seed: int, threads: int = 1,
         [tuple([cases[i][0]] + list(cases[i][1]) + [residuals[i]])
          for i in range(n)],
     )
-    report = report_envelope("master-check", cfg, seed)
-    report.update({
+    return {
         "n_cases": n,
         "t_range": [tmin, tmax],
         "tol": tol,
         "max_residual": max_abs,
         "exit_code": code,
-    })
-    write_json(os.path.join(out, "report.json"), report)
-    return code
+    }
 
 
 def run_decay_fit(cfg: dict, out: str, seed: int, threads: int = 1,
-                  force: bool = False) -> int:
-    model = model_from_config(cfg)
-    dec = estimate_decay(
-        model,
-        horizon=cfg_float(cfg, "decay.horizon", 20.0),
-        spacing=cfg_float(cfg, "decay.spacing", 0.25),
-        n_random=cfg_int(cfg, "decay.random", 8),
-        seed=seed,
-        step=cfg_float(cfg, "run.step", DEFAULT_STEP),
-    )
-    code = EXIT_INCONCLUSIVE if dec.flagged else EXIT_PASS
-    report = report_envelope("decay-fit", cfg, seed)
-    report.update({
-        "lambda": dec.rate,
-        "c2": dec.c2,
-        "per_sample_rates": dec.per_sample_rates,
-        "flagged": dec.flagged,
-        "horizon": dec.horizon,
-        "n_samples": dec.n_samples,
-        "note": dec.note,
-        "exit_code": code,
-    })
-    write_json(os.path.join(out, "report.json"), report)
-    return code
+                  force: bool = False) -> dict:
+    decay = decay_probe(model_from_config(cfg), cfg, seed)
+    return {**decay,
+            "exit_code": EXIT_INCONCLUSIVE if decay["flagged"] else EXIT_PASS}
 
 
 def run_solve(cfg: dict, out: str, seed: int, threads: int = 1,
-              force: bool = False) -> int:
+              force: bool = False) -> dict:
     model = model_from_config(cfg)
     mu0 = initial_measure(cfg, model)
-    times = make_grid(cfg_float(cfg, "run.horizon", 20.0),
-                      cfg_float(cfg, "run.spacing", 0.25))
-    traj = solve_kolmogorov(model, mu0, times,
-                            step=cfg_float(cfg, "run.step", DEFAULT_STEP))
+    _, times = run_grid(cfg)
+    traj = solve_kolmogorov(model, mu0, times, step=run_step(cfg))
     write_csv(
         os.path.join(out, "trajectory.csv"),
         ["t"] + [f"m_{z + 1}" for z in range(model.d)],
         [tuple([traj.times[i]] + list(traj.states[i]))
          for i in range(len(traj.times))],
     )
-    report = report_envelope("solve", cfg, seed)
-    report.update({
+    return {
         "model": model.name,
         "final_state": traj.states[-1],
         "n_times": len(traj.times),
         "exit_code": EXIT_PASS,
-    })
-    write_json(os.path.join(out, "report.json"), report)
-    return EXIT_PASS
+    }
 
 
 def run_simulate(cfg: dict, out: str, seed: int, threads: int = 1,
-                 force: bool = False) -> int:
+                 force: bool = False) -> dict:
     model = model_from_config(cfg)
     mu0 = initial_measure(cfg, model)
     N = cfg_int(cfg, "run.N", 100)
     R = cfg_int(cfg, "run.R", 1)
-    times = make_grid(cfg_float(cfg, "run.horizon", 20.0),
-                      cfg_float(cfg, "run.spacing", 0.25))
-    report = report_envelope("simulate", cfg, seed)
+    _, times = run_grid(cfg)
     if R == 1:
         path = simulate(model, mu0, N, times, seed, rep=0)
         write_csv(
@@ -620,24 +603,20 @@ def run_simulate(cfg: dict, out: str, seed: int, threads: int = 1,
             [tuple([times[i]] + list(path.counts[i]))
              for i in range(len(times))],
         )
-        report.update({"N": N, "R": 1, "n_events": path.n_events,
-                       "exit_code": EXIT_PASS})
-    else:
-        phi = observable_from_config(cfg, model)
-        est = mc_observable(model, phi, mu0, N, times, R, seed,
-                            threads=threads)
-        write_csv(
-            os.path.join(out, "mc.csv"),
-            ["t", "mean", "stderr", "R", "N", "seed"],
-            [(times[i], est.mean[i], est.stderr[i], R, N, seed)
-             for i in range(len(times))],
-        )
-        report.update({"N": N, "R": R, "phi": phi.name,
-                       "exit_code": EXIT_PASS})
-    write_json(os.path.join(out, "report.json"), report)
-    return EXIT_PASS
+        return {"N": N, "R": 1, "n_events": path.n_events,
+                "exit_code": EXIT_PASS}
+    phi = observable_from_config(cfg, model)
+    est = mc_observable(model, phi, mu0, N, times, R, seed, threads=threads)
+    write_csv(
+        os.path.join(out, "mc.csv"),
+        ["t", "mean", "stderr", "R", "N", "seed"],
+        [(times[i], est.mean[i], est.stderr[i], R, N, seed)
+         for i in range(len(times))],
+    )
+    return {"N": N, "R": R, "phi": phi.name, "exit_code": EXIT_PASS}
 
 
+# Each runner returns its report's own fields, exit_code among them.
 COMMANDS: dict[str, Callable] = {
     "solve": run_solve,
     "simulate": run_simulate,
@@ -647,3 +626,16 @@ COMMANDS: dict[str, Callable] = {
     "master-check": run_master_check,
     "decay-fit": run_decay_fit,
 }
+
+
+def run_command(command: str, cfg: dict, out: str, seed: int,
+                threads: int = 1, force: bool = False) -> int:
+    """Run a command, write its report.json and return its exit code.
+
+    The runner is looked up in COMMANDS at call time, so a wrapper put into
+    the table (the benchmark's layer tracer does this) still runs.
+    """
+    fields = COMMANDS[command](cfg, out, seed, threads=threads, force=force)
+    write_json(os.path.join(out, "report.json"),
+               {**report_envelope(command, cfg, seed), **fields})
+    return fields["exit_code"]

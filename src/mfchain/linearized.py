@@ -141,6 +141,8 @@ def estimate_decay(
     interior measures; fits log |q(t)|_1 over the last half of the horizon
     by least squares.  rate <= 0 is reported with flagged=True.
     """
+    if n_random < 0:
+        raise InputError(f"need n_random >= 0 random probes, got {n_random}")
     d = model.d
     floor = max(0.01, model.valid_region.min_mass + 0.005)
     samples = [barycenter(d)]
@@ -288,12 +290,15 @@ def check_condition1(
     )
 
 
+MARGIN_BATCH = 4096       # lattice points per margin_matrix call
+
+
 def default_resolution(d: int) -> int:
     return 50 if d <= 3 else 15
 
 
 def check_condition2(
-    model: Model, resolution: Optional[int] = None, batch: int = 4096
+    model: Model, resolution: Optional[int] = None
 ) -> ErgodicityReport:
     """Positivity of the linearization's off-diagonal entries on a lattice.
 
@@ -310,24 +315,17 @@ def check_condition2(
         raise InputError("no lattice points inside the model's valid region")
 
     offmask = ~np.eye(d, dtype=bool)
-    best = np.inf
-    best_mu, best_xy = None, None
-    margins_flat = []
-    for lo in range(0, len(lattice), batch):
-        mus = lattice[lo : lo + batch]
-        A = margin_matrix(model, mus)                  # (b, d, d)
-        offs = A[:, offmask]                           # (b, d*(d-1)) row-major
-        margins_flat.append(offs)
-        for i in range(len(mus)):
-            j = int(np.argmin(offs[i]))
-            v = float(offs[i, j])
-            if v < best:                                # strict improvement
-                best = v
-                best_mu = mus[i]
-                xs, ys = np.nonzero(offmask)
-                best_xy = (int(xs[j]), int(ys[j]))
-
-    x, y = best_xy
+    offs_all = np.concatenate([                         # (n, d*(d-1)) row-major
+        margin_matrix(model, lattice[lo : lo + MARGIN_BATCH])[:, offmask]
+        for lo in range(0, len(lattice), MARGIN_BATCH)
+    ])
+    # the first minimum in row-major order: the first point in lattice order
+    # with the smallest margin, and its first (x, y) pair
+    i, j = divmod(int(np.argmin(offs_all)), offs_all.shape[1])
+    best = float(offs_all[i, j])
+    best_mu = lattice[i]
+    xs, ys = np.nonzero(offmask)
+    x, y = int(xs[j]), int(ys[j])
     if best > 0:
         verdict = "pass"
     elif best < 0:
@@ -336,7 +334,6 @@ def check_condition2(
         verdict = "inconclusive"
 
     # crude continuity slack: worst margin change between lattice neighbours
-    offs_all = np.concatenate(margins_flat, axis=0)
     key = {tuple(np.round(mu * res).astype(int)): i for i, mu in enumerate(lattice)}
     mod = 0.0
     for cnt, i in key.items():

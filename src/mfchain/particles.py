@@ -31,6 +31,7 @@ from .models import Model
 from .simplex import as_measure
 
 CHUNK = 5000
+MAX_EVENTS = 10**9         # per replication; more means a runaway simulation
 
 
 @dataclass
@@ -97,7 +98,6 @@ def gillespie_batch(
     phi: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     burn: float = 0.0,
     end: Optional[float] = None,
-    max_events: Optional[int] = None,
 ) -> dict:
     """Lockstep direct-method simulation of many replications.
 
@@ -112,6 +112,8 @@ def gillespie_batch(
     """
     counts = np.array(counts0, dtype=np.int64)
     R, d = counts.shape
+    if R == 0:
+        raise InputError("need at least one replication in counts0")
     Ns = counts.sum(axis=1)
     N = int(Ns[0])
     if not np.all(Ns == N):
@@ -127,8 +129,6 @@ def gillespie_batch(
         end = horizon if end is None else float(end)
         if not 0.0 <= burn < end:
             raise InputError("need 0 <= burn < end")
-    if max_events is None:
-        max_events = 10**9
 
     reps_arr = np.atleast_1d(np.asarray(reps, dtype=np.uint64))
     if len(reps_arr) != R:
@@ -219,8 +219,8 @@ def gillespie_batch(
         events[idx] += t_new <= horizon
         t[idx] = t_new
         k[idx] += np.uint64(1)
-        if np.any(events[idx] > max_events):
-            raise SolverError(f"exceeded max_events={max_events}")
+        if np.any(events[idx] > MAX_EVENTS):
+            raise SolverError(f"a replication exceeded {MAX_EVENTS} events")
 
         done = np.ones(len(idx), dtype=bool)
         if grid is not None:

@@ -241,6 +241,7 @@ MALFORMED = [
     "simulate --model.name=weak_interaction --run.R=0 --run.horizon=1",
     "master-check --model.name=weak_interaction --master.cases=0",
     "decay-fit --model.name=weak_interaction --decay.horizon=0",
+    "decay-fit --model.name=weak_interaction --decay.random=-1",
     "solve --model.name=weak_interaction --init.mu=0.5,0.5,0",
     "solve --model.name=constant --model.Q=1,2;3",
     "solve --model.name=weak_interaction --model.foo=1",
@@ -271,10 +272,14 @@ FUZZ_SIZES = {
     "decay-fit": st.fixed_dictionaries({
         "decay.horizon": st.sampled_from(["1", "2"]),
         "decay.random": st.sampled_from(["0", "2"])}),
+    "certify": st.fixed_dictionaries({
+        "decay.horizon": st.sampled_from(["1", "2"]),
+        "certify.pairs": st.sampled_from(["1", "50"]),
+        "certify.resolution": st.sampled_from(["2", "5"])}),
 }
-FUZZ_KEYS = ["run.N", "run.R", "run.horizon", "run.spacing", "init.mu",
-             "model.a", "model.eps", "model.d", "model.Q", "model.foo",
-             "observable.name"]
+FUZZ_KEYS = ["run.N", "run.R", "run.horizon", "run.spacing", "run.step",
+             "init.mu", "model.a", "model.eps", "model.d", "model.Q",
+             "model.foo", "observable.name", "decay.spacing", "decay.random"]
 FUZZ_VALUES = ["", "abc", "nan", "inf", "-inf", "-1", "0", "1e400", "0.3",
                "2", "0.5,0.5", "0.5,0.5,0", "1,0", "nan,1", "-1,1;1,-1",
                "1,2;3", "0,0;0,0", "sq_dist", "linear", "entropy"]
@@ -361,6 +366,55 @@ def test_cli_decay_fit(tmp_path):
     assert not rep["flagged"]
     assert main(["decay-fit", "--model.name=example_non_erg",
                  "--decay.horizon=6", "--out", str(tmp_path / "d2")]) == 2
+
+
+def test_cli_decay_fit_records_region_exit(tmp_path):
+    # the same probe as certify's: a region exit is a flagged record, exit 2
+    out = tmp_path / "chaos"
+    assert main(["decay-fit", "--model.name=example_chaos", "--out", str(out)]) == 2
+    rep = json.load(open(out / "report.json"))
+    assert rep["lambda"] is None and rep["c2"] is None and rep["flagged"]
+    assert "min_x mu_x >= 0.01" in rep["note"] and "t=0.01" in rep["note"]
+
+
+def test_certify_and_decay_fit_share_one_probe(tmp_path):
+    base = ["--model.name=weak_interaction", "--decay.horizon=6",
+            "--certify.pairs=50", "--certify.resolution=5"]
+    step = ["--decay.spacing=0.5", "--run.step=0.05"]
+
+    def report(command, extra, name):
+        main([command] + base + extra + ["--out", str(tmp_path / name)])
+        return json.load(open(tmp_path / name / "report.json"))
+
+    fit = report("decay-fit", step, "fit")
+    cert = report("certify", step, "cert")["decay"]
+    default = report("certify", [], "default")["decay"]
+    assert cert == {k: fit[k] for k in cert}                # lambda bitwise
+    assert cert["lambda"] != default["lambda"]
+
+
+def test_stationary_gap_forced_past_region_exit(tmp_path, monkeypatch):
+    # the barycentre is an unstable rest point, so the decay probe leaves
+    # the valid region; --force then falls back to the default burn-in
+    def unstable(k: float = 2.2):
+        def rates(mu):
+            s = k * (np.asarray(mu, dtype=float)[..., 0] - 0.5)
+            A = np.zeros(np.shape(mu)[:-1] + (2, 2))
+            A[..., 0, 1], A[..., 1, 0] = 1 - s, 1 + s
+            A[..., 0, 0], A[..., 1, 1] = s - 1, -1 - s
+            return A
+        return models.Model(name="unstable", d=2, rates=rates,
+                            valid_region=models.ValidRegion("min_x mu_x >= 0.2",
+                                                            0.2))
+
+    monkeypatch.setitem(models._REGISTRY, "unstable", unstable)
+    base = ["stationary-gap", "--model.name=unstable",
+            "--observable.target=0.5,0.5", "--gap.R=20", "--gap.Ns=2000",
+            "--gap.window=1", "--out", str(tmp_path)]
+    assert main(base) == 1
+    assert main(base + ["--force"]) in (0, 2)
+    rep = json.load(open(tmp_path / "report.json"))
+    assert rep["lambda"] is None and rep["burn"] == 5.0
 
 
 def test_weak_error_refuses_uncertified(tmp_path, capsys):

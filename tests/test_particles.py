@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from mfchain.errors import DomainExitError
+from mfchain.errors import DomainExitError, InputError
 from mfchain.models import Model, ValidRegion, constant, weak_interaction, zero
 from mfchain.particles import (
     EmpiricalPath,
@@ -181,6 +181,10 @@ def test_domain_error_on_region_exit():
 
 
 def test_input_validation():
+    # an empty batch used to fail with a raw IndexError at its first row
+    with pytest.raises(InputError, match="at least one replication"):
+        gillespie_batch(zero(2), np.zeros((0, 2), int), 0, np.arange(0),
+                        times=np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="same particle count"):
         gillespie_batch(zero(2), np.array([[3, 7], [4, 7]]), 0, np.arange(2),
                         times=np.array([0.0, 1.0]))
