@@ -176,14 +176,15 @@ def initial_measure(cfg: dict, model: Model) -> np.ndarray:
 
 
 def run_step(cfg: dict) -> float:
-    """The RK4 step of every flow a command solves."""
+    """The fixed step of every flow a command solves."""
     return cfg_float(cfg, "run.step", DEFAULT_STEP)
 
 
-def run_grid(cfg: dict) -> tuple:
-    """(run.horizon, its recording grid) for solve, simulate and weak-error."""
-    horizon = cfg_float(cfg, "run.horizon", 20.0)
-    return horizon, make_grid(horizon, cfg_float(cfg, "run.spacing", 0.25))
+def run_grid(cfg: dict) -> np.ndarray:
+    """The recording grid of solve, simulate and weak-error: multiples of
+    run.spacing up to run.horizon, so its last time may fall short of it."""
+    return make_grid(cfg_float(cfg, "run.horizon", 20.0),
+                     cfg_float(cfg, "run.spacing", 0.25))
 
 
 def decay_probe(model: Model, cfg: dict, seed: int) -> dict:
@@ -191,20 +192,22 @@ def decay_probe(model: Model, cfg: dict, seed: int) -> dict:
 
     A probe that leaves the model's valid region is evidence, not a crash:
     it is recorded as flagged, with null lambda and c2 and the exit in note.
+    The reported horizon is the probe grid's last time.
     """
     horizon = cfg_float(cfg, "decay.horizon", 20.0)
+    spacing = cfg_float(cfg, "decay.spacing", 0.25)
+    end = float(make_grid(horizon, spacing)[-1])
     try:
-        dec = estimate_decay(model, horizon=horizon,
-                             spacing=cfg_float(cfg, "decay.spacing", 0.25),
+        dec = estimate_decay(model, horizon=horizon, spacing=spacing,
                              n_random=cfg_int(cfg, "decay.random", 8),
                              seed=seed, step=run_step(cfg))
     except DomainExitError as exc:
         return {"lambda": None, "c2": None, "per_sample_rates": None,
-                "flagged": True, "horizon": horizon,
+                "flagged": True, "horizon": end,
                 "note": f"decay probe: {exc}"}
     return {"lambda": dec.rate, "c2": dec.c2,
             "per_sample_rates": dec.per_sample_rates,
-            "flagged": dec.flagged, "horizon": horizon, "note": dec.note}
+            "flagged": dec.flagged, "horizon": end, "note": dec.note}
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +314,7 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
     model = model_from_config(cfg)
     phi = observable_from_config(cfg, model)
     mu0 = initial_measure(cfg, model)
-    horizon, times = run_grid(cfg)
+    times = run_grid(cfg)
     R = cfg_int(cfg, "run.R", 20_000)
     Ns = cfg_ints(cfg, "run.Ns", "8,16,32,64,128,256")
     T = len(times)
@@ -398,6 +401,7 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
     r_needed = int(np.ceil(R * (2.0 * noise) ** 2)) if inconclusive else None
 
     lam = bundle["decay"]["lambda"]
+    horizon = float(times[-1])
     tail = {
         "lambda": lam,
         "horizon": horizon,
@@ -572,7 +576,7 @@ def run_solve(cfg: dict, out: str, seed: int, threads: int = 1,
               force: bool = False) -> dict:
     model = model_from_config(cfg)
     mu0 = initial_measure(cfg, model)
-    _, times = run_grid(cfg)
+    times = run_grid(cfg)
     traj = solve_kolmogorov(model, mu0, times, step=run_step(cfg))
     write_csv(
         os.path.join(out, "trajectory.csv"),
@@ -594,7 +598,7 @@ def run_simulate(cfg: dict, out: str, seed: int, threads: int = 1,
     mu0 = initial_measure(cfg, model)
     N = cfg_int(cfg, "run.N", 100)
     R = cfg_int(cfg, "run.R", 1)
-    _, times = run_grid(cfg)
+    times = run_grid(cfg)
     if R == 1:
         path = simulate(model, mu0, N, times, seed, rep=0)
         write_csv(

@@ -276,10 +276,22 @@ FUZZ_SIZES = {
         "decay.horizon": st.sampled_from(["1", "2"]),
         "certify.pairs": st.sampled_from(["1", "50"]),
         "certify.resolution": st.sampled_from(["2", "5"])}),
+    "master-check": st.fixed_dictionaries({
+        "master.cases": st.sampled_from(["1", "3"]),
+        "master.tmax": st.sampled_from(["0.5", "1"])}),
+    "weak-error": st.fixed_dictionaries({
+        "run.R": st.sampled_from(["1", "20", "50"]),
+        "run.Ns": st.just("2,4"),
+        "run.horizon": st.sampled_from(["0.5", "1"]),
+        "run.spacing": st.sampled_from(["0.25", "0.5"]),
+        "decay.horizon": st.sampled_from(["1", "2"]),
+        "certify.pairs": st.just("50"),
+        "certify.resolution": st.just("5")}),
 }
 FUZZ_KEYS = ["run.N", "run.R", "run.horizon", "run.spacing", "run.step",
              "init.mu", "model.a", "model.eps", "model.d", "model.Q",
-             "model.foo", "observable.name", "decay.spacing", "decay.random"]
+             "model.foo", "observable.name", "decay.spacing", "decay.random",
+             "run.Ns", "master.cases", "master.tmin", "master.tmax"]
 FUZZ_VALUES = ["", "abc", "nan", "inf", "-inf", "-1", "0", "1e400", "0.3",
                "2", "0.5,0.5", "0.5,0.5,0", "1,0", "nan,1", "-1,1;1,-1",
                "1,2;3", "0,0;0,0", "sq_dist", "linear", "entropy"]
@@ -391,6 +403,20 @@ def test_certify_and_decay_fit_share_one_probe(tmp_path):
     default = report("certify", [], "default")["decay"]
     assert cert == {k: fit[k] for k in cert}                # lambda bitwise
     assert cert["lambda"] != default["lambda"]
+
+
+def test_reported_horizons_are_the_last_grid_time(tmp_path):
+    # horizon 1 at spacing 0.3 records up to 0.9; the reports say so
+    assert main(["weak-error", "--model.name=weak_interaction", "--run.R=20",
+                 "--run.Ns=2,4", "--run.horizon=1", "--run.spacing=0.3",
+                 "--decay.horizon=1", "--decay.spacing=0.3",
+                 "--out", str(tmp_path)]) in (0, 2)
+    rep = json.load(open(tmp_path / "report.json"))
+    end = rep["grid"][-1]
+    assert end == 0.3 * 3 == rep["tail"]["horizon"]
+    lam = rep["certificates"]["decay"]["lambda"]
+    assert rep["tail"]["decay_factor"] == np.exp(-lam * end)
+    assert rep["certificates"]["decay"]["horizon"] == end
 
 
 def test_stationary_gap_forced_past_region_exit(tmp_path, monkeypatch):

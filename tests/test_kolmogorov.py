@@ -8,10 +8,13 @@ from mfchain.errors import DomainExitError, InputError, SolverError
 from mfchain.kolmogorov import (
     CLIP_BUDGET,
     Trajectory,
+    _A,
+    _B,
+    _C,
     _make_measure_postproc,
     flow_map,
     make_grid,
-    rk4_segments,
+    rk_segments,
     solve_flow,
     solve_kolmogorov,
     stationary_distribution,
@@ -52,20 +55,29 @@ def test_solve_matches_closed_form_slow_conv():
     assert np.abs(traj.states[:, 0] - exact).max() < 1e-9
 
 
-def test_rk4_is_fourth_order_on_affine_flow():
+def test_rk_is_eighth_order_on_affine_flow():
     # weak_interaction has closed-form m_1(t) = nu_1 + (mu_1 - nu_1) e^{-(a+b)t};
-    # halving the step should shrink the error by roughly 2^4
+    # halving the step should shrink the error by roughly 2^8
     model = weak_interaction()
     mu0 = np.array([[0.9, 0.1]])
     times = np.array([0.0, 2.0])
     exact = 0.5 + 0.4 * np.exp(-2.0 * 2.0)
 
     def err(h):
-        m = rk4_segments(_drift_of(model), mu0, times, h)[0, -1, 0]
+        m = rk_segments(_drift_of(model), mu0, times, h)[0, -1, 0]
         return abs(m - exact)
 
-    ratio = err(0.1) / err(0.05)
-    assert 12.0 < ratio < 20.0
+    ratio = err(0.5) / err(0.25)
+    assert 200.0 < ratio < 360.0
+
+
+def test_rk_tableau_is_dop853():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    assert np.array_equal(_C, ref.C[:12])
+    assert np.array_equal(_A, ref.A[:12, :12])
+    assert np.array_equal(_B, ref.B)
+    assert np.abs(_A.sum(axis=1) - _C).max() <= 1e-14
 
 
 def _drift_of(model):
