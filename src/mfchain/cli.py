@@ -61,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (overrides run.seed)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="Monte Carlo worker processes")
         p.add_argument("--force", action="store_true",
                        help="proceed past failed preconditions (recorded)")
     return parser

@@ -21,3 +21,7 @@ class DomainExitError(SolverError):
     def __init__(self, msg: str, time: float):
         super().__init__(msg)
         self.time = time
+
+    def __reduce__(self):
+        # rebuilt with its time when it crosses from a worker process
+        return type(self), (self.args[0], self.time)

@@ -8,7 +8,7 @@ Config files are flat `section.key = value` lines ('#' starts a comment).
 Dotted command-line overrides (--section.key=value) replace file entries.
 Reports are JSON with a stable layout: a schema tag, the tool version, the
 echoed scientific config and its content hash, and the master seed, so a
-rerun of the same invocation reproduces the output byte for byte (thread
+rerun of the same invocation reproduces the output byte for byte (worker
 count and output directory are excluded from the echo for that reason).
 
 Exit codes: 0 pass/conclusive, 1 error, 2 inconclusive (with an R estimate

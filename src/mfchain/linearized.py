@@ -121,7 +121,7 @@ class DecayEstimate:
     c2: float                   # max |q(t)|_1 * exp(rate * t) over everything
     per_sample_rates: np.ndarray
     flagged: bool               # True when no exponential decay was observed
-    horizon: float
+    horizon: float              # last time of the fit grid
     n_samples: int
     note: str = ""
 
@@ -138,8 +138,10 @@ def estimate_decay(
 
     Integrates a full tangent frame (q0 = delta_z - mu for every z) from the
     barycenter, small perturbations of it toward each vertex, and random
-    interior measures; fits log |q(t)|_1 over the last half of the horizon
-    by least squares.  rate <= 0 is reported with flagged=True.
+    interior measures; fits log |q(t)|_1 over the last half of the recording
+    grid by least squares.  rate <= 0 is reported with flagged=True.  The
+    reported horizon is the grid's last time, which may fall short of the
+    horizon argument by less than one spacing.
     """
     if n_random < 0:
         raise InputError(f"need n_random >= 0 random probes, got {n_random}")
@@ -157,6 +159,7 @@ def estimate_decay(
         raise InputError(
             f"decay fit needs horizon >= spacing, got {horizon} < {spacing}"
         )
+    end = float(times[-1])
     _, tangents = solve_flow(
         model, mus, times, step, Q0=np.eye(d) - mus[:, None, :]
     )
@@ -167,7 +170,7 @@ def estimate_decay(
     # dynamics (integration noise in invariant directions plateaus there);
     # keep such points out of the fit window and the c2 scan
     valid = agg > agg[:, :1] * 1e-12
-    tail = times >= horizon / 2.0
+    tail = times >= end / 2.0
     rates = np.empty(B)
     c2 = 0.0
     for b in range(B):
@@ -191,7 +194,7 @@ def estimate_decay(
         c2=c2,
         per_sample_rates=rates,
         flagged=flagged,
-        horizon=horizon,
+        horizon=end,
         n_samples=B,
         note=note,
     )

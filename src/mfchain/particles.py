@@ -4,13 +4,22 @@ N particles on [d] jump with rates alpha_{x y}(mu^N_t) read off the current
 empirical measure.  The state is kept as an occupancy-count vector; the
 system's next transition is sampled by the direct (Gillespie) method:
 
-  * total event rate   Lambda = sum_{x, y != x} counts_x * alpha_{x y}(mu),
+  * pair weights       w_p = counts_x * alpha_{x y}(mu) for the d(d-1)
+                       off-diagonal pairs p = (x, y) in row-major order,
+  * total event rate   Lambda = the running total w_0 + w_1 + ... summed
+                       left to right, the same sum the jump search uses,
   * waiting time       Exp(1) / Lambda,
-  * transition (x, y)  chosen proportionally to counts_x * alpha_{x y}(mu),
+  * transition         the first pair whose running total reaches u Lambda,
 
 with rates re-evaluated after every event.  Replications run in lockstep as
 batched array rows, each driven by its own counter-based random stream, so
-results are independent of batching, chunking, and thread count.
+results are independent of batching, chunking, and worker count.
+
+State layout in gillespie_batch: each per-row quantity (row id, event key,
+counts, time, draw counter, grid pointer, next grid time, events, time
+average) is a compact array over the active rows only, in row order.  The
+arrays shrink when rows finish or die (no outgoing rate); a finished row's
+totals are written back to the full-size outputs by its row id.
 
 Randomness layout per replication (see rng module): the init domain uses
 draw i for particle i's initial state; the event domain uses draws 2k and
@@ -19,8 +28,8 @@ draw i for particle i's initial state; the event domain uses draws 2k and
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,6 +41,8 @@ from .simplex import as_measure
 
 CHUNK = 5000
 MAX_EVENTS = 10**9         # per replication; more means a runaway simulation
+_WAIT_CAT = np.array([[0], [1]], dtype=np.uint64)    # draw offsets 2k, 2k + 1
+_TWO = np.uint64(2)
 
 
 @dataclass
@@ -133,7 +144,6 @@ def gillespie_batch(
     reps_arr = np.atleast_1d(np.asarray(reps, dtype=np.uint64))
     if len(reps_arr) != R:
         raise InputError("reps must match the number of rows in counts0")
-    ekeys = rng.domain_key(rng.stream_key(seed, reps_arr), rng.DOMAIN_EVENTS)
 
     T = len(times) if times is not None else 0
     times_ext = (
@@ -142,99 +152,110 @@ def gillespie_batch(
     grid = (
         np.zeros((R, T, d), dtype=np.int32) if times is not None else None
     )
-    ptr = np.zeros(R, dtype=np.int64)
-    acc = np.zeros(R) if phi is not None else None
-    t = np.zeros(R)
-    k = np.zeros(R, dtype=np.uint64)
-    events = np.zeros(R, dtype=np.int64)
-    active = np.ones(R, dtype=bool)
+    events_out = np.zeros(R, dtype=np.int64)
+    acc_out = np.zeros(R) if phi is not None else None
     check_region = model.valid_region.min_mass > 0.0
+    pairs = [(x, y) for x in range(d) for y in range(d) if x != y]
+    jumps = np.zeros((len(pairs), d), dtype=np.int64)    # count change per pair
+    for p, (x, y) in enumerate(pairs):
+        jumps[p, x], jumps[p, y] = -1, 1
 
-    def flush(rows):
-        """Record the rest of the grid / phi tail for frozen rows."""
-        if grid is not None:
-            while True:
-                m = ptr[rows] < T
-                if not m.any():
-                    break
-                rr = rows[m]
-                grid[rr, ptr[rr]] = counts[rr]
-                ptr[rr] += 1
+    # compact state of the active rows, in row order
+    row = np.arange(R)
+    key = rng.domain_key(rng.stream_key(seed, reps_arr), rng.DOMAIN_EVENTS)
+    t = np.zeros(R)
+    ctr = np.zeros(R, dtype=np.uint64)          # 2k for the next event k
+    ptr = np.zeros(R, dtype=np.int64)           # next grid index to record
+    nxt = np.full(R, times_ext[0])              # times_ext[ptr]
+    ev = np.zeros(R, dtype=np.int64)
+    acc = np.zeros(R) if phi is not None else None
+
+    def record(sel):
+        """Record the counts of rows sel at their next grid time."""
+        at = ptr[sel]
+        grid[row[sel], at] = counts[sel]
+        at += 1
+        ptr[sel] = at
+        nxt[sel] = times_ext[at]
+
+    def retire(gone):
+        """Write back the totals of rows gone and drop them from the state."""
+        nonlocal row, key, counts, t, ctr, ptr, nxt, ev, acc
+        events_out[row[gone]] = ev[gone]
         if acc is not None:
-            lo = np.maximum(t[rows], burn)
-            span = np.maximum(end - lo, 0.0)
-            acc[rows] += phi(counts[rows] / N) * span
+            acc_out[row[gone]] = acc[gone]
+            acc = acc[~gone]
+        row, key, counts, t, ctr, ptr, nxt, ev = (
+            a[~gone] for a in (row, key, counts, t, ctr, ptr, nxt, ev))
 
-    while active.any():
-        idx = np.nonzero(active)[0]
-        mu = counts[idx] / N
-        if check_region and not np.all(model.valid_region.contains(mu)):
-            bad = idx[~model.valid_region.contains(mu)][0]
-            raise DomainExitError(
-                f"empirical measure of replication {int(reps_arr[bad])} left"
-                f" the valid region of {model.name!r} at t={t[bad]:.6g}",
-                time=float(t[bad]),
-            )
+    steps = 0
+    while len(row):
+        mu = counts / N
+        if check_region:
+            inside = model.valid_region.contains(mu)
+            if not inside.all():
+                bad = int(np.argmin(inside))
+                raise DomainExitError(
+                    f"empirical measure of replication {int(reps_arr[row[bad]])}"
+                    f" left the valid region of {model.name!r} at t={t[bad]:.6g}",
+                    time=float(t[bad]),
+                )
         A = model.rates(mu)
-        W = counts[idx][:, :, None] * A
-        W[:, np.arange(d), np.arange(d)] = 0.0
-        lam = W.sum(axis=(1, 2))
+        running = list(accumulate(counts[:, x] * A[:, x, y] for x, y in pairs))
+        lam = running[-1]
 
         dead = lam <= 0.0
         if dead.any():
-            rows = idx[dead]
-            flush(rows)
-            active[rows] = False
-            if dead.all():
-                continue
-            keep = ~dead
-            idx, W, lam = idx[keep], W[keep], lam[keep]
+            # frozen rows: the rest of the grid and the phi tail, then retire
+            if grid is not None:
+                sel = np.flatnonzero(dead & (ptr < T))
+                while len(sel):
+                    record(sel)
+                    sel = sel[ptr[sel] < T]
+            if acc is not None:
+                span = np.maximum(end - np.maximum(t[dead], burn), 0.0)
+                acc[dead] += phi(mu[dead]) * span
+            retire(dead)
+            continue
 
-        u_wait = rng.uniforms(ekeys[idx], 2 * k[idx])
-        u_cat = rng.uniforms(ekeys[idx], 2 * k[idx] + np.uint64(1))
-        t_new = t[idx] - np.log(u_wait) / lam
+        u = rng.uniforms(key, ctr + _WAIT_CAT)           # (2, n)
+        t_new = t - np.log(u[0]) / lam
 
         if grid is not None:
-            while True:
-                m = times_ext[ptr[idx]] < t_new
-                if not m.any():
-                    break
-                rr = idx[m]
-                grid[rr, ptr[rr]] = counts[rr]
-                ptr[rr] += 1
+            sel = np.flatnonzero(nxt < t_new)
+            while len(sel):
+                record(sel)
+                sel = sel[nxt[sel] < t_new[sel]]
         if acc is not None:
-            lo = np.maximum(t[idx], burn)
-            hi = np.minimum(t_new, end)
-            span = np.maximum(hi - lo, 0.0)
+            span = np.minimum(t_new, end) - np.maximum(t, burn)
             nz = span > 0
-            if nz.any():
-                acc[idx[nz]] += phi(counts[idx[nz]] / N) * span[nz]
+            if nz.all():
+                acc += phi(mu) * span
+            elif nz.any():
+                acc[nz] += phi(mu[nz]) * span[nz]
 
-        cs = np.cumsum(W.reshape(len(idx), d * d), axis=1)
-        v = u_cat * lam
-        j = np.minimum((cs < v[:, None]).sum(axis=1), d * d - 1)
-        x, y = j // d, j % d
-        counts[idx, x] -= 1
-        counts[idx, y] += 1
-        events[idx] += t_new <= horizon
-        t[idx] = t_new
-        k[idx] += np.uint64(1)
-        if np.any(events[idx] > MAX_EVENTS):
+        # the jump: the first pair whose running total reaches u * lambda
+        v = u[1] * lam
+        j = (running[0] < v).astype(np.intp)
+        for s in running[1:-1]:
+            j += s < v
+        counts += jumps.take(j, axis=0)
+        ev += t_new <= horizon
+        t = t_new
+        ctr += _TWO
+        steps += 1              # no row has more events than lockstep steps
+        if steps > MAX_EVENTS and ev.max() > MAX_EVENTS:
             raise SolverError(f"a replication exceeded {MAX_EVENTS} events")
 
-        done = np.ones(len(idx), dtype=bool)
-        if grid is not None:
-            done &= ptr[idx] >= T
+        done = ptr >= T if grid is not None else None
         if acc is not None:
-            done &= t_new >= end
+            done = t_new >= end if done is None else done & (t_new >= end)
         if done.any():
-            active[idx[done]] = False
+            retire(done)
 
-    out: dict = {"events": events, "counts": None, "phi_avg": None}
-    if grid is not None:
-        out["counts"] = grid
-    if acc is not None:
-        out["phi_avg"] = acc / (end - burn)
+    out: dict = {"events": events_out, "counts": grid, "phi_avg": None}
+    if acc_out is not None:
+        out["phi_avg"] = acc_out / (end - burn)
     return out
 
 
@@ -261,22 +282,47 @@ def simulate(
     )
 
 
+_WORKER: Optional[Callable[[int, int], object]] = None   # see run_chunks
+
+
+def _run_worker(lo: int, hi: int):
+    """Chunk entry point in a forked worker: calls the inherited _WORKER."""
+    return _WORKER(lo, hi)
+
+
 def run_chunks(worker: Callable[[int, int], object], R: int, threads: int = 1,
                chunk: int = CHUNK) -> list:
     """Apply worker(lo, hi) to [0, R) in fixed chunks; ordered results.
 
-    The reduction order is the chunk order, not the completion order, so
-    outputs are bit-identical for any thread count.
+    With threads > 1 the chunks run in min(threads, chunks) forked worker
+    processes.  The worker is never pickled: it sits in the module slot
+    _WORKER while the pool forks, so each process inherits it and receives
+    only (lo, hi); the chunk results come back pickled.  The reduction order
+    is the chunk order, not the completion order, so outputs are
+    bit-identical for any worker count.  A chunk's exception is raised here,
+    after the pending chunks are cancelled and every worker has exited.
+
+    Fork, not spawn: workers are closures over the caller's arrays, which
+    spawn would have to pickle, and spawn re-imports numpy in every worker.
+    A fork copies only the calling thread, so call this from a process with
+    no other threads at work (the CLI has none), one call at a time.
     """
+    global _WORKER
     spans = [(lo, min(lo + chunk, R)) for lo in range(0, R, chunk)]
     if threads <= 1 or len(spans) == 1:
         return [worker(lo, hi) for lo, hi in spans]
-    results: list = [None] * len(spans)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futs = {ex.submit(worker, lo, hi): i for i, (lo, hi) in enumerate(spans)}
-        for fut, i in futs.items():
-            results[i] = fut.result()
-    return results
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    _WORKER = worker
+    pool = ProcessPoolExecutor(max_workers=min(threads, len(spans)),
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        futs = [pool.submit(_run_worker, lo, hi) for lo, hi in spans]
+        return [fut.result() for fut in futs]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        _WORKER = None
 
 
 def mc_moments(values: Callable[[int, int], tuple], R: int,
@@ -286,7 +332,7 @@ def mc_moments(values: Callable[[int, int], tuple], R: int,
     values(lo, hi) returns a tuple of arrays whose leading axis runs over
     replications lo..hi-1.  Each chunk's sums of x and x^2 over that axis
     are added in chunk order (see run_chunks), so the result is
-    bit-identical for any thread count.  Returns one (mean, stderr) pair
+    bit-identical for any worker count.  Returns one (mean, stderr) pair
     per array, each shaped like one replication's value.
 
     The arrays are summed one by one on purpose: summing them stacked as

@@ -279,6 +279,13 @@ FUZZ_SIZES = {
     "master-check": st.fixed_dictionaries({
         "master.cases": st.sampled_from(["1", "3"]),
         "master.tmax": st.sampled_from(["0.5", "1"])}),
+    "stationary-gap": st.fixed_dictionaries({
+        "gap.R": st.sampled_from(["1", "20"]),
+        "gap.Ns": st.sampled_from(["2", "2,5"]),
+        "gap.window": st.sampled_from(["0.5", "1"]),
+        "gap.burn": st.sampled_from(["0", "0.5"]),
+        "decay.horizon": st.sampled_from(["1", "2"]),
+        "decay.random": st.just("0")}),
     "weak-error": st.fixed_dictionaries({
         "run.R": st.sampled_from(["1", "20", "50"]),
         "run.Ns": st.just("2,4"),
@@ -297,16 +304,9 @@ FUZZ_VALUES = ["", "abc", "nan", "inf", "-inf", "-1", "0", "1e400", "0.3",
                "1,2;3", "0,0;0,0", "sq_dist", "linear", "entropy"]
 
 
-@given(
-    command=st.sampled_from(sorted(FUZZ_SIZES)),
-    name=st.sampled_from(sorted(models._REGISTRY)),
-    data=st.data(),
-    overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS),
-                              st.sampled_from(FUZZ_VALUES), max_size=3),
-)
-def test_cli_fuzz_exit_codes(command, name, data, overrides):
-    cfg = {"model.name": name, **data.draw(FUZZ_SIZES[command]), **overrides}
-    argv = [command] + [f"--{k}={v}" for k, v in cfg.items()]
+def assert_exit_contract(argv):
+    """Run the CLI; it must end in 0-3, never a traceback, and exit 1 with
+    exactly one `mfchain: error:` line or write its report."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
         rc = main(argv + ["--out", out])
@@ -319,6 +319,39 @@ def test_cli_fuzz_exit_codes(command, name, data, overrides):
         assert err.getvalue().count("\n") == 1, err.getvalue()
     else:
         assert wrote
+
+
+@given(
+    command=st.sampled_from(sorted(FUZZ_SIZES)),
+    name=st.sampled_from(sorted(models._REGISTRY)),
+    data=st.data(),
+    overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS),
+                              st.sampled_from(FUZZ_VALUES), max_size=3),
+)
+def test_cli_fuzz_exit_codes(command, name, data, overrides):
+    cfg = {"model.name": name, **data.draw(FUZZ_SIZES[command]), **overrides}
+    assert_exit_contract([command] + [f"--{k}={v}" for k, v in cfg.items()])
+
+
+@given(
+    model=st.sampled_from([
+        ("--model.name=constant", "--model.Q=-1,1;2,-2"),
+        ("--model.name=constant", "--model.Q=-1,1;0,0"),    # rows die
+        ("--model.name=zero",),                             # all rows dead
+        ("--model.name=weak_interaction",),
+    ]),
+    sizes=FUZZ_SIZES["stationary-gap"],
+    force=st.booleans(),
+    overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS),
+                              st.sampled_from(FUZZ_VALUES), max_size=2),
+)
+def test_cli_fuzz_stationary_gap(model, sizes, force, overrides):
+    # models whose runs reach the kernel's time-average mode, including
+    # rows with no outgoing rate that retire before their first event
+    cfg = {**sizes, **overrides}
+    assert_exit_contract(["stationary-gap", *model]
+                         + [f"--{k}={v}" for k, v in cfg.items()]
+                         + (["--force"] if force else []))
 
 
 def test_cli_certify_chaos_records_region_exit(tmp_path):
@@ -525,8 +558,24 @@ def test_stationary_gap_thread_identity(tmp_path):
         assert b1 == b2
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_reproduces_committed_mc_bytes(tmp_path, threads):
+    # the weak-error study's N = 8 Monte Carlo: four 5000-row chunks, in
+    # one process or in forked workers, give the committed bytes
+    out = str(tmp_path / "sim")
+    rc = main(["simulate", "--config", str(ROOT / "configs" / "weak_error.cfg"),
+               "--run.N=8", "--seed", "12345", "--threads", threads,
+               "--out", out])
+    assert rc == 0
+    committed = ROOT / "results" / "weak_error" / "mc_N8.csv"
+    assert open(os.path.join(out, "mc.csv"), "rb").read() == committed.read_bytes()
+
+
 def test_readme_library_tour_runs():
-    readme = Path(__file__).resolve().parents[1] / "README.md"
+    readme = ROOT / "README.md"
     blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
     assert blocks
     for block in blocks:

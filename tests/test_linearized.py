@@ -14,7 +14,7 @@ from mfchain.linearized import (
     nonlinear_contraction_rate,
     solve_linear_cauchy,
 )
-from mfchain.kolmogorov import flow_map
+from mfchain.kolmogorov import flow_map, make_grid
 from mfchain.models import (
     constant,
     example_chaos,
@@ -139,6 +139,15 @@ def test_estimate_decay_weak_interaction():
     assert est.c2 >= 1.0
     assert est.n_samples == 1 + 2 + 8
     assert len(est.per_sample_rates) == est.n_samples
+
+
+def test_estimate_decay_horizon_is_the_last_grid_time():
+    # the grid 0, 0.3, 0.6, 0.9 stops short of horizon 1; the fit window is
+    # the last half of that grid
+    est = estimate_decay(weak_interaction(), horizon=1, spacing=0.3)
+    times = make_grid(1, 0.3)
+    assert times[-1] == pytest.approx(0.9)
+    assert est.horizon == times[-1]
 
 
 def test_estimate_decay_constant_chain():

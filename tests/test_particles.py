@@ -1,3 +1,6 @@
+import multiprocessing
+import pickle
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -97,6 +100,37 @@ def test_batch_composition_invariance():
     assert np.array_equal(full["events"], np.concatenate([lo["events"], hi["events"]]))
 
 
+def mean_field_three_state() -> Model:
+    """alpha_xy = 1 + 2 mu_y + x / 2 off the diagonal: a d = 3 chain whose
+    rates depend on the law, so rows only stay apart if the kernel keeps
+    them apart."""
+    def rates(mu):
+        A = 1.0 + 2.0 * mu[..., None, :] + 0.5 * np.arange(3.0)[:, None]
+        A = A * (1.0 - np.eye(3))
+        return A - np.eye(3) * A.sum(axis=-1, keepdims=True)
+
+    return Model(name="mean_field_3", d=3, rates=rates)
+
+
+def test_batch_composition_invariance_three_states():
+    # the compacted kernel drops rows as they finish; a row's path must not
+    # depend on which rows share its batch, in grid and time-average mode
+    model = mean_field_three_state()
+    reps = np.arange(12)
+    counts0 = sample_initial([0.5, 0.3, 0.2], 15, seed=8, reps=reps)
+    grid = dict(times=np.array([0.0, 0.25, 0.5, 1.5]))
+    avg = dict(phi=lambda m: m[..., 0] - m[..., 2] ** 2, burn=0.5, end=1.5)
+    for mode in (grid, avg):
+        full = gillespie_batch(model, counts0, 8, reps, **mode)
+        lo = gillespie_batch(model, counts0[:5], 8, reps[:5], **mode)
+        hi = gillespie_batch(model, counts0[5:], 8, reps[5:], **mode)
+        for key in ("counts", "phi_avg", "events"):
+            if full[key] is not None:
+                assert np.array_equal(full[key],
+                                      np.concatenate([lo[key], hi[key]])), key
+    assert full["events"].min() > 0
+
+
 def test_run_chunks_order_and_threads():
     def worker(lo, hi):
         return np.arange(lo, hi)
@@ -105,6 +139,20 @@ def test_run_chunks_order_and_threads():
     b = run_chunks(worker, 23, threads=4, chunk=7)
     assert [r.tolist() for r in a] == [r.tolist() for r in b]
     assert np.array_equal(np.concatenate(a), np.arange(23))
+    assert multiprocessing.active_children() == []
+
+
+def test_run_chunks_raises_the_first_chunk_error():
+    # a failing chunk comes back as its own typed error, the earliest chunk
+    # in chunk order wins, and no worker outlives the call
+    def worker(lo, hi):
+        if lo >= 7:
+            raise InputError(f"chunk at {lo}")
+        return lo
+
+    with pytest.raises(InputError, match="chunk at 7$"):
+        run_chunks(worker, 30, threads=2, chunk=7)
+    assert multiprocessing.active_children() == []
 
 
 
@@ -178,6 +226,32 @@ def test_domain_error_on_region_exit():
             guarded, np.array([[10, 10]]), seed=0, reps=np.arange(1),
             times=np.array([0.0, 50.0]),
         )
+
+
+def test_domain_exit_error_pickles():
+    exc = pickle.loads(pickle.dumps(DomainExitError("left at t=1.5", time=1.5)))
+    assert isinstance(exc, DomainExitError)
+    assert str(exc) == "left at t=1.5" and exc.time == 1.5
+
+
+def test_region_exit_same_for_any_worker_count():
+    # R = 6000 is two chunks; at two workers the exit crosses a process
+    # boundary and must arrive as the same typed error as in one process
+    base = constant(np.array([[0.0, 0.0], [1.0, -1.0]]))
+    guarded = Model(
+        name="guarded", d=2, rates=base.rates,
+        rate_derivative=base.rate_derivative,
+        valid_region=ValidRegion("min 0.3", min_mass=0.3),
+    )
+    messages = []
+    for threads in (1, 2):
+        with pytest.raises(DomainExitError, match="left the valid region") as exc:
+            mc_observable(guarded, lambda m: m[..., 0], [0.5, 0.5], N=10,
+                          times=np.array([0.0, 5.0]), R=6000, seed=3,
+                          threads=threads)
+        messages.append((str(exc.value), exc.value.time))
+        assert multiprocessing.active_children() == []
+    assert messages[0] == messages[1]
 
 
 def test_input_validation():
