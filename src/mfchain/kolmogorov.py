@@ -15,13 +15,14 @@ strict cumulative budget; anything larger aborts the run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainExitError, InputError, SolverError
-from .models import Model, margin_matrix
+from .models import Model, rates_and_margin
 from .simplex import as_measure, barycenter
 
 DEFAULT_STEP = 0.02
@@ -51,10 +52,10 @@ class Trajectory:
 # DOP853 (Prince & Dormand 1981, J. Comput. Appl. Math. 7:67-75): nodes,
 # the stage matrix (its strict lower triangle, row by row) and the
 # 8th-order weights
-_C = np.array([
+_C = [
     0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
     0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
-    0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0]
 _A = np.zeros((12, 12))
 _A[np.tril_indices(12, -1)] = [
     0.05260015195876773,
@@ -108,11 +109,15 @@ def rk_segments(
 
     y0: (B, n) flat state rows; returns (B, T, n).  Each recording interval
     is cut into equal substeps of length <= step so grid times are exact.
-    A zero-length interval records its start state unchanged.
+    A zero-length interval records its start state unchanged.  Times, nodes
+    and step lengths are Python floats (IEEE doubles, like numpy's float64,
+    but cheaper to combine than numpy scalars).
     """
     y = np.array(y0, dtype=float)
     if y.ndim != 2:
         raise InputError("rk_segments expects a (B, n) state block")
+    times = [float(t) for t in times]
+    step = float(step)
     T = len(times)
     out = np.empty((y.shape[0], T, y.shape[1]))
     out[:, 0] = y
@@ -122,7 +127,7 @@ def rk_segments(
         if span == 0:
             out[:, j + 1] = y
             continue
-        nsub = max(1, int(np.ceil(span / step - 1e-12)))
+        nsub = max(1, math.ceil(span / step - 1e-12))
         h = span / nsub
         for i in range(nsub):
             t = t0 + i * h
@@ -223,10 +228,12 @@ def solve_flow(
     def f(t, Y):
         m = Y[:, :d]
         Q = Y[:, d:].reshape(B, k, d)
-        dQ = np.einsum("bkz,bzy->bky", Q, margin_matrix(model, m))
+        R, A = rates_and_margin(model, m)       # one rates call per stage
+        dQ = np.einsum("bkz,bzy->bky", Q, A)
         if source is not None:
             dQ = dQ + source(t)
-        return np.concatenate([drift(t, m), dQ.reshape(B, k * d)], axis=1)
+        return np.concatenate([np.einsum("bx,bxy->by", m, R),
+                               dQ.reshape(B, k * d)], axis=1)
 
     def postproc(t, Y):
         m = measure_post(t, Y[:, :d])
@@ -306,8 +313,8 @@ def stationary_distribution(
 
     iters = 0
     while r > tol and iters < max_newton:
-        G = nu @ model.rates(nu)
-        A = margin_matrix(model, nu)
+        R, A = rates_and_margin(model, nu)
+        G = nu @ R
         q = -G @ np.linalg.pinv(A)
         q = q - q.mean()                    # keep the update zero-sum
         gamma, accepted = 1.0, False
@@ -315,8 +322,9 @@ def stationary_distribution(
             cand = nu + gamma * q
             if np.all(cand >= 0) and np.all(model.valid_region.contains(cand)):
                 cand = cand / cand.sum()
-                if resid(cand) <= (1.0 - gamma / 4.0) * r:
-                    nu, r, accepted = cand, resid(cand), True
+                r_cand = resid(cand)
+                if r_cand <= (1.0 - gamma / 4.0) * r:
+                    nu, r, accepted = cand, r_cand, True
                     break
             gamma *= 0.5
         iters += 1

@@ -126,6 +126,21 @@ class DecayEstimate:
     note: str = ""
 
 
+def _fit_window(horizon: float, spacing: float) -> tuple:
+    """(grid, tail mask) of a decay fit: the grid 0, spacing, ... <= horizon
+    and its last half in time, widened to the last two points when the half
+    holds fewer.  A fit needs two points, so horizon < spacing is refused."""
+    times = make_grid(horizon, spacing)
+    if len(times) < 2:
+        raise InputError(
+            f"decay fit needs horizon >= spacing, got {horizon} < {spacing}"
+        )
+    tail = times >= times[-1] / 2.0
+    if tail.sum() < 2:
+        tail[-2:] = True
+    return times, tail
+
+
 def estimate_decay(
     model: Model,
     horizon: float = 20.0,
@@ -154,12 +169,7 @@ def estimate_decay(
         samples.extend(rng.random_measures(seed, n_random, d, floor=floor))
     mus = np.asarray(samples)
     B = len(mus)
-    times = make_grid(horizon, spacing)
-    if len(times) < 2:
-        raise InputError(
-            f"decay fit needs horizon >= spacing, got {horizon} < {spacing}"
-        )
-    end = float(times[-1])
+    times, tail = _fit_window(horizon, spacing)
     _, tangents = solve_flow(
         model, mus, times, step, Q0=np.eye(d) - mus[:, None, :]
     )
@@ -170,7 +180,6 @@ def estimate_decay(
     # dynamics (integration noise in invariant directions plateaus there);
     # keep such points out of the fit window and the c2 scan
     valid = agg > agg[:, :1] * 1e-12
-    tail = times >= end / 2.0
     rates = np.empty(B)
     c2 = 0.0
     for b in range(B):
@@ -194,7 +203,7 @@ def estimate_decay(
         c2=c2,
         per_sample_rates=rates,
         flagged=flagged,
-        horizon=end,
+        horizon=float(times[-1]),
         n_samples=B,
         note=note,
     )
@@ -211,16 +220,17 @@ def nonlinear_contraction_rate(
     """Decay rate of |m(t; mu) - m(t; nu)|_1 fitted over random pairs.
 
     The nonlinear counterpart of estimate_decay: the slowest tail-fit rate
-    over sampled initial pairs.  Under exponential ergodicity the two agree.
+    over sampled initial pairs, fitted over the same window (the last half
+    of the recording grid, at least two points).  Under exponential
+    ergodicity the two agree.
     """
     floor = max(0.01, model.valid_region.min_mass + 0.005)
     mus = rng.random_measures(seed, n_pairs, model.d, floor=floor)
     nus = rng.random_measures(seed, n_pairs, model.d, floor=floor, rep=1)
-    times = make_grid(horizon, spacing)
+    times, tail = _fit_window(horizon, spacing)
     a = solve_flow(model, mus, times, step)[0]
     b = solve_flow(model, nus, times, step)[0]
     dist = np.abs(a - b).sum(axis=2)
-    tail = times >= horizon / 2.0
     tt = times[tail]
     rates = [
         -np.polyfit(tt, np.log(np.maximum(dist[i, tail], 1e-300)), 1)[0]

@@ -25,13 +25,15 @@ import numpy as np
 
 from . import rng
 from .errors import InputError
-from .simplex import FD_EPS
+from .simplex import FD_EPS, simplex_lattice
 
-ROW_SUM_TOL = 1e-12
+ROW_SUM_TOL = 1e-12       # |row sum| allowed per unit of the row's largest |rate|
+PROBE_RESOLUTION = 3      # lattice of the valid region that make_model checks
 
 
 def check_rate_matrix(A, tol: float = ROW_SUM_TOL) -> np.ndarray:
-    """Validate off-diagonal positivity and zero row sums; returns A."""
+    """Validate finite entries, off-diagonal positivity and zero row sums
+    (within tol times the row's largest |entry|); returns A as floats."""
     A = np.asarray(A)
     if (A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 2
             or not np.issubdtype(A.dtype, np.number)):
@@ -45,7 +47,7 @@ def check_rate_matrix(A, tol: float = ROW_SUM_TOL) -> np.ndarray:
     if np.any(off < 0.0):
         raise InputError("negative off-diagonal rate")
     rowsum = A.sum(axis=1)
-    if np.any(np.abs(rowsum) > tol):
+    if np.any(np.abs(rowsum) > tol * np.abs(A).max(axis=1)):
         raise InputError(f"row sums not zero: {rowsum.tolist()}")
     return A
 
@@ -94,13 +96,9 @@ def eval_rates(model: Model, mu) -> np.ndarray:
     return A
 
 
-def rate_derivative_tensor(model: Model, mus) -> np.ndarray:
-    """Full derivative tensor T[..., z, x, y]; analytic or chord FD."""
-    mus = np.asarray(mus, dtype=float)
-    if model.rate_derivative is not None:
-        return model.rate_derivative(mus)
+def _chord_derivative(model: Model, mus: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Chord FD derivative tensor T[..., z, x, y], with base = rates(mus)."""
     d = model.d
-    base = model.rates(mus)
     out = np.empty(mus.shape[:-1] + (d, d, d))
     for z in range(d):
         ez = np.zeros(d)
@@ -113,6 +111,29 @@ def rate_derivative_tensor(model: Model, mus) -> np.ndarray:
     return out
 
 
+def rate_derivative_tensor(model: Model, mus) -> np.ndarray:
+    """Full derivative tensor T[..., z, x, y]; analytic or chord FD."""
+    mus = np.asarray(mus, dtype=float)
+    if model.rate_derivative is not None:
+        return model.rate_derivative(mus)
+    return _chord_derivative(model, mus, model.rates(mus))
+
+
+def rates_and_margin(model: Model, mus) -> tuple:
+    """(alpha(mu), A(mu)) from one rates evaluation; see margin_matrix.
+
+    The chord FD derivative of a model without an analytic one reuses the
+    same alpha(mu) as its base point.
+    """
+    mus = np.asarray(mus, dtype=float)
+    R = model.rates(mus)
+    if model.rate_derivative is not None:
+        D = model.rate_derivative(mus)                  # (..., z, x, y)
+    else:
+        D = _chord_derivative(model, mus, R)
+    return R, R + np.einsum("...x,...zxy->...zy", mus, D)
+
+
 def margin_matrix(model: Model, mus) -> np.ndarray:
     """A[..., x, y] = alpha_xy(mu) + sum_z mu_z * d alpha_zy / dm (mu, x).
 
@@ -123,9 +144,7 @@ def margin_matrix(model: Model, mus) -> np.ndarray:
     zero-sum directions, G'(mu) q = q @ A, which the stationary search's
     Newton step uses.
     """
-    mus = np.asarray(mus, dtype=float)
-    D = rate_derivative_tensor(model, mus)          # (..., z, x, y)
-    return model.rates(mus) + np.einsum("...x,...zxy->...zy", mus, D)
+    return rates_and_margin(model, mus)[1]
 
 
 def rate_derivative(model: Model, mu, z: int) -> np.ndarray:
@@ -160,6 +179,12 @@ def estimate_lipschitz(model: Model, n_pairs: int = 10_000, seed: int = 0) -> fl
 # built-in models
 
 
+# indicator (z == 0), (z == 1) over a trailing direction axis z: a
+# derivative built on it is _two_state over (..., z), i.e. T[..., z, x, y]
+_TOWARD_0 = np.array([1.0, 0.0])
+_TOWARD_1 = np.array([0.0, 1.0])
+
+
 def _two_state(a12, a21) -> np.ndarray:
     a12 = np.asarray(a12, dtype=float)
     out = np.empty(a12.shape + (2, 2))
@@ -182,13 +207,9 @@ def _two_state_poly(name: str, p, dp, s, ds, M: float, L: float) -> Model:
         return _two_state(p(u), s(u))
 
     def deriv(mu):
-        mu = np.asarray(mu, dtype=float)
-        u = mu[..., 0]
-        out = np.empty(mu.shape[:-1] + (2, 2, 2))
-        for z in range(2):
-            w = (1.0 if z == 0 else 0.0) - u
-            out[..., z, :, :] = _two_state(dp(u) * w, ds(u) * w)
-        return out
+        u = np.asarray(mu, dtype=float)[..., 0:1]
+        w = _TOWARD_0 - u                       # (..., z): (z == 0) - mu_1
+        return _two_state(dp(u) * w, ds(u) * w)
 
     return Model(name=name, d=2, rates=rates, rate_derivative=deriv, M=M, L=L)
 
@@ -258,12 +279,8 @@ def weak_interaction(a: float = 1.0, b: float = 1.0, eps: float = 0.25) -> Model
 
     def deriv(mu):
         mu = np.asarray(mu, dtype=float)
-        out = np.empty(mu.shape[:-1] + (2, 2, 2))
-        for z in range(2):
-            g12 = eps * ((1.0 if z == 1 else 0.0) - mu[..., 1])
-            g21 = eps * ((1.0 if z == 0 else 0.0) - mu[..., 0])
-            out[..., z, :, :] = _two_state(g12, g21)
-        return out
+        return _two_state(eps * (_TOWARD_1 - mu[..., 1:2]),
+                          eps * (_TOWARD_0 - mu[..., 0:1]))
 
     return Model(
         name=f"weak_interaction(a={a},b={b},eps={eps})",
@@ -383,7 +400,32 @@ def make_model(name: str, **params) -> Model:
         inspect.signature(factory).bind(**params)
     except TypeError as exc:
         raise InputError(f"model {name!r}: {exc}") from None
-    return factory(**params)
+    model = factory(**params)
+    _probe_rates(model)
+    return model
+
+
+def _probe_rates(model: Model) -> None:
+    """Evaluate model.rates once, on the points min_mass + (1 - d min_mass) k
+    / PROBE_RESOLUTION of the valid region, and check each matrix with
+    check_rate_matrix.
+
+    The flow renormalizes its state after every step, so rates whose rows do
+    not sum to zero would otherwise go unnoticed.
+    """
+    d, floor = model.d, model.valid_region.min_mass
+    mus = floor + (1.0 - d * floor) * simplex_lattice(d, PROBE_RESOLUTION)
+    mus = mus[model.valid_region.contains(mus)]
+    A = np.asarray(model.rates(mus))
+    if A.shape != mus.shape + (d,):
+        raise InputError(f"model {model.name!r}: rates map {mus.shape} measures"
+                         f" to shape {A.shape}, expected {mus.shape + (d,)}")
+    for mu, Amu in zip(mus, A):
+        try:
+            check_rate_matrix(Amu)
+        except InputError as exc:
+            raise InputError(
+                f"model {model.name!r} at {mu.tolist()}: {exc}") from None
 
 
 register_model("weak_interaction", weak_interaction)

@@ -145,6 +145,20 @@ def test_zero_length_interval_records_start_without_rhs():
     assert np.array_equal(repeated[0], plain[0][[0, 1, 1, 2]])
 
 
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "chord-fd"])
+def test_one_rates_call_per_tangent_stage(analytic):
+    # a 0.25-long solve at the default step is 13 substeps x 12 stages; each
+    # tangent RHS evaluates the rates once, plus 2 chord probes per direction
+    # when the model has no analytic derivative
+    base = weak_interaction()
+    if not analytic:
+        base = dataclasses.replace(base, rate_derivative=None)
+    model, calls = _counting(base)
+    mu = np.array([[0.3, 0.7]])
+    solve_flow(model, mu, [0.0, 0.25], Q0=np.eye(2) - mu[:, None, :])
+    assert len(calls) == 13 * 12 * (1 if analytic else 1 + 2 * model.d)
+
+
 BAD_GRIDS = ([0.0, 1.0, 0.5], [[0.0, 1.0]], [0.0, np.nan], [0.0, np.inf], [],
              [-1.0, 1.0])
 

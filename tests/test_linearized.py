@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 
+from mfchain.errors import InputError
 from mfchain.linearized import (
     apply_L,
     check_condition1,
@@ -174,6 +177,18 @@ def test_estimate_decay_slow_conv_no_exponential_rate():
 def test_nonlinear_contraction_rate_weak():
     rate = nonlinear_contraction_rate(weak_interaction(), horizon=6.0)
     assert rate == pytest.approx(2.0, abs=0.05)
+
+
+def test_nonlinear_contraction_rate_short_grid():
+    # grid 0, 0.6: the fit window is both points (the last half alone holds
+    # one), and the affine flow's distances decay exactly at rate a + b = 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rate = nonlinear_contraction_rate(weak_interaction(), horizon=1.0,
+                                          spacing=0.6)
+    assert rate == pytest.approx(2.0, abs=1e-8)
+    with pytest.raises(InputError, match="horizon >= spacing"):
+        nonlinear_contraction_rate(weak_interaction(), horizon=0.4, spacing=0.5)
 
 
 # --- certificates ------------------------------------------------------------

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from mfchain import models
+from mfchain.cli import main
 from mfchain.errors import InputError
 from mfchain.models import (
     Model,
@@ -114,6 +116,60 @@ def test_analytic_derivative_matches_fd(mu):
         assert np.abs(analytic.sum(axis=-1)).max() < 1e-12
 
 
+def _two_state_ref(a12, a21):
+    out = np.empty(np.shape(a12) + (2, 2))
+    out[..., 0, 0] = -a12
+    out[..., 0, 1] = a12
+    out[..., 1, 0] = a21
+    out[..., 1, 1] = -a21
+    return out
+
+
+def _poly_deriv_ref(dp, ds):
+    """The per-direction loop the analytic derivatives once were."""
+    def deriv(mu):
+        u = mu[..., 0]
+        out = np.empty(mu.shape[:-1] + (2, 2, 2))
+        for z in range(2):
+            w = (1.0 if z == 0 else 0.0) - u
+            out[..., z, :, :] = _two_state_ref(dp(u) * w, ds(u) * w)
+        return out
+    return deriv
+
+
+def _weak_deriv_ref(mu, eps=0.25):
+    out = np.empty(mu.shape[:-1] + (2, 2, 2))
+    for z in range(2):
+        g12 = eps * ((1.0 if z == 1 else 0.0) - mu[..., 1])
+        g21 = eps * ((1.0 if z == 0 else 0.0) - mu[..., 0])
+        out[..., z, :, :] = _two_state_ref(g12, g21)
+    return out
+
+
+DERIV_REFS = [
+    (weak_interaction(), _weak_deriv_ref),
+    (example_non_erg(),
+     _poly_deriv_ref(lambda u: 2.0 * u + 1.0, lambda u: 62.0 * u - 18.0)),
+    (example_slow_conv(),
+     _poly_deriv_ref(lambda u: 4.0 * u + 1.0, lambda u: 60.0 * u - 19.0)),
+]
+
+
+@pytest.mark.parametrize("model, ref", DERIV_REFS,
+                         ids=["weak_interaction", "non_erg", "slow_conv"])
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)], ids=str)
+def test_analytic_derivatives_bitwise_equal_loop_reference(model, ref, shape):
+    # bytes, not values: 0.0 - u and -u differ in the sign of a zero
+    u = np.linspace(0.0, 1.0, int(np.prod(shape, dtype=int)))
+    mus = np.stack([u, 1.0 - u], axis=-1).reshape(shape + (2,))
+    want = ref(mus)
+    got = model.rate_derivative(mus)
+    assert got.shape == want.shape == shape + (2, 2, 2)
+    assert got.tobytes() == want.tobytes()
+    for z in range(2):
+        assert rate_derivative(model, mus, z).tobytes() == want[..., z, :, :].tobytes()
+
+
 def test_weak_interaction_metadata():
     m = weak_interaction(a=1.0, b=2.0, eps=0.25)
     assert (m.L, m.M, m.K) == (1.0, 2.25, 0.25)
@@ -189,6 +245,51 @@ def test_registry():
         make_model("missing_model")
     register_model("tiny", lambda: zero(2))
     assert make_model("tiny").name == "zero"
+
+
+def test_zoo_models_pass_the_rates_probe():
+    for name in ("weak_interaction", "example_non_erg", "example_slow_conv",
+                 "example_chaos", "zero"):
+        make_model(name)
+    make_model("constant", Q=[[-1.0, 1.0], [2.0, -2.0]])
+
+
+def _leaky(what):
+    def factory():
+        base = weak_interaction()
+
+        def rates(mu):
+            A = base.rates(mu).copy()
+            if what == "row sum":
+                A[..., 0, 1] += 1e-6
+            elif what == "negative":
+                A[..., 1, 0] = -A[..., 1, 0]
+                A[..., 1, 1] = -A[..., 1, 1]
+            else:
+                A[..., 0, :] = np.nan
+            return A
+
+        return Model(name="leaky", d=2, rates=rates)
+
+    return factory
+
+
+@pytest.mark.parametrize("what, words", [("row sum", "row sums not zero"),
+                                         ("negative", "negative off-diagonal"),
+                                         ("nan", "non-finite")])
+def test_make_model_rejects_non_conservative_rates(monkeypatch, tmp_path,
+                                                   capsys, what, words):
+    monkeypatch.setattr(models, "_REGISTRY", dict(models._REGISTRY))
+    register_model("leaky", _leaky(what))
+    with pytest.raises(InputError, match=words):
+        make_model("leaky")
+    # the flow alone would renormalize the leak away; the CLI refuses
+    assert main(["solve", "--model.name=leaky", "--run.horizon=1",
+                 "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mfchain: error:") and err.count("\n") == 1
+    assert words in err
+    assert not (tmp_path / "x" / "report.json").exists()
 
 
 def test_valid_region_contains_batched():
