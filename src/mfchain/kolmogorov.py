@@ -225,24 +225,30 @@ def solve_flow(
         states = rk_segments(drift, mu0s, times, step, measure_post)
         return states, np.zeros((B, len(times), 0, d))
 
+    # the RHS block: drift in the first d columns, the k tangent rows after;
+    # rk_segments copies it into its stage stack, so one buffer serves all
+    dY = np.empty((B, d + k * d))
+    dQ = dY[:, d:].reshape(B, k, d)
+
     def f(t, Y):
         m = Y[:, :d]
-        Q = Y[:, d:].reshape(B, k, d)
         R, A = rates_and_margin(model, m)       # one rates call per stage
-        dQ = np.einsum("bkz,bzy->bky", Q, A)
+        # the drift is the same einsum as without tangents, so the states do
+        # not depend on the tangent rows; the product is one matmul per row
+        dY[:, :d] = np.einsum("bx,bxy->by", m, R)
+        np.matmul(Y[:, d:].reshape(B, k, d), A, out=dQ)
         if source is not None:
-            dQ = dQ + source(t)
-        return np.concatenate([np.einsum("bx,bxy->by", m, R),
-                               dQ.reshape(B, k * d)], axis=1)
+            np.add(dQ, source(t), out=dQ)
+        return dY
 
     def postproc(t, Y):
-        m = measure_post(t, Y[:, :d])
+        Y[:, :d] = measure_post(t, Y[:, :d])
         # tangent rows stay zero-sum under the exact dynamics (the
         # linearization matrix has zero row sums); re-project so roundoff
         # cannot accumulate in that invariant direction
         Q = Y[:, d:].reshape(B, k, d)
-        Q = Q - Q.mean(axis=-1, keepdims=True)
-        return np.concatenate([m, Q.reshape(B, k * d)], axis=1)
+        Q -= Q.mean(axis=-1, keepdims=True)
+        return Y
 
     Y0 = np.concatenate([mu0s, Q0.reshape(B, k * d)], axis=1)
     out = rk_segments(f, Y0, times, step, postproc)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DomainExitError, InputError
 from .kolmogorov import DEFAULT_STEP, solve_flow
 from .models import Model
 from .simplex import (
@@ -82,41 +82,54 @@ def master_residual_scan(
 ) -> np.ndarray:
     """Residuals for many (t, mu) cases with two batched solves in total.
 
-    All cases share one recording grid (the union of their time stencils),
-    so the base flows and tangent frames are integrated together regardless
-    of how many cases are requested.
+    Phase 1 solves every case from its mu, with the tangent frame
+    Q0 = I - mu, on the grid {0} and each case's t - dt, and keeps row b's
+    state and frame at its own t_b - dt.  Phase 2 continues every row from
+    that state, with that frame as Q0, over the shared grid dt/2 * (0..4):
+    four steps that give m(t_b + o; mu_b) at the stencil offsets
+    o = -dt, -dt/2, 0, dt/2, dt, and the flow derivative at t_b.  The
+    restart is exact: the flow is autonomous, so restarting from
+    m(t_b - dt; mu_b) follows the same flow, and the tangent equation is
+    linear in its rows, so carrying the frame at t_b - dt along gives its
+    product with the derivative of the continued flow (the chain rule).
+    No row steps through another case's stencil.
     """
     if len(cases) == 0:
         raise InputError("master residual scan needs at least one case")
+    if not 0 < dt < np.inf:
+        raise InputError(
+            f"master residual stencil width dt must be finite and > 0, got {dt}"
+        )
     ts = np.array([float(c[0]) for c in cases])
     mus = np.array([as_measure(c[1]) for c in cases])
     if np.any(ts <= dt):
         raise InputError(f"master residual stencil needs t > {dt}")
     B, d = mus.shape
+    rows = np.arange(B)
 
-    offsets = np.array([-dt, -dt / 2.0, dt / 2.0, dt])
-    stencil = ts[:, None] + offsets[None, :]                    # (B, 4)
-    union = np.unique(np.concatenate([[0.0], stencil.ravel(), ts]))
-    col = {v: i for i, v in enumerate(union)}
-
+    starts = np.unique(np.concatenate([[0.0], ts - dt]))
     states, tangents = solve_flow(
-        obs.model, mus, union, obs.step, Q0=np.eye(d) - mus[:, None, :]
+        obs.model, mus, starts, obs.step, Q0=np.eye(d) - mus[:, None, :]
     )
-    Uvals = obs.phi(states)                                     # (B, T_union)
-
-    res = np.empty(B)
+    col = np.searchsorted(starts, ts - dt)
+    try:
+        states, tangents = solve_flow(
+            obs.model, states[rows, col], dt / 2.0 * np.arange(5), obs.step,
+            Q0=tangents[rows, col],
+        )
+    except DomainExitError as exc:
+        raise DomainExitError(
+            f"{exc}, counted from t - dt of the case whose stencil it is in",
+            time=exc.time,
+        ) from None
+    u_m1, u_mh, _, u_ph, u_p1 = obs.phi(states).T              # (5, B)
+    D_full = (u_p1 - u_m1) / (2.0 * dt)
+    D_half = (u_ph - u_mh) / dt
+    dUdt = (4.0 * D_half - D_full) / 3.0
+    dphi = functional_derivative_all(obs.phi, states[:, 2])     # (B, d)
+    dU = np.einsum("bzy,by->bz", tangents[:, 2], dphi)          # (B, d)
     drift = np.einsum("bx,bxy->by", mus, obs.model.rates(mus))
-    for b in range(B):
-        c = [col[v] for v in stencil[b]]
-        u_m1, u_mh, u_ph, u_p1 = Uvals[b, c]
-        D_full = (u_p1 - u_m1) / (2.0 * dt)
-        D_half = (u_ph - u_mh) / dt
-        dUdt = (4.0 * D_half - D_full) / 3.0
-        J = tangents[b, col[ts[b]]]                             # (d, d)
-        dphi = functional_derivative_all(obs.phi, states[b, col[ts[b]]])
-        dU = J @ dphi
-        res[b] = dUdt - float(dU @ drift[b])
-    return res
+    return dUdt - np.einsum("bz,bz->b", dU, drift)
 
 
 def tau_remainder(

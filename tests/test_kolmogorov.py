@@ -30,6 +30,7 @@ from mfchain.models import (
     weak_interaction,
     zero,
 )
+from mfchain.rng import random_measures
 from conftest import measure_strategy
 
 
@@ -117,6 +118,28 @@ def test_flow_states_do_not_depend_on_tangent_rows(model):
                                   Q0=np.eye(d) - mus[:, None, :])
     assert tangents.shape == (2, len(times), d, d)
     assert np.array_equal(states, alone)
+
+
+@pytest.mark.parametrize("model", [example_non_erg(), example_chaos()],
+                         ids=lambda m: m.name)
+def test_rows_do_not_depend_on_batch_size_or_tangent_rows(model):
+    # each row is integrated on its own: at every batch size its states and
+    # tangents equal its single-row solve bitwise, and the states equal those
+    # of a solve without tangents (near the barycentre, so that the chaos
+    # flow stays in its region)
+    d = model.d
+    mus = 0.8 / d + 0.2 * random_measures(3, 7, d)
+    times = make_grid(1.0, 0.25)
+    frames = np.eye(d) - mus[:, None, :]
+    singles = [solve_flow(model, mus[i:i + 1], times, Q0=frames[i:i + 1])
+               for i in range(len(mus))]
+    for B in range(1, len(mus) + 1):
+        alone = solve_flow(model, mus[:B], times)[0]
+        states, tangents = solve_flow(model, mus[:B], times, Q0=frames[:B])
+        assert np.array_equal(states, alone), B
+        for i in range(B):
+            assert np.array_equal(states[i], singles[i][0][0]), (B, i)
+            assert np.array_equal(tangents[i], singles[i][1][0]), (B, i)
 
 
 def _counting(model):

@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mfchain.errors import DomainExitError, InputError
 from mfchain.master import (
+    DT_STENCIL,
     PropagatedObservable,
     dU_dmeasure,
     dU_dmeasure_all,
@@ -13,7 +15,13 @@ from mfchain.master import (
     master_residual_scan,
     tau_remainder,
 )
-from mfchain.models import example_non_erg, example_slow_conv, weak_interaction
+from mfchain.models import (
+    ValidRegion,
+    constant,
+    example_non_erg,
+    example_slow_conv,
+    weak_interaction,
+)
 from mfchain.rng import random_measures
 from mfchain.simplex import quadratic_field, sq_dist_field
 
@@ -103,6 +111,48 @@ def test_master_residual_needs_room_for_stencil():
     obs = PropagatedObservable(weak_interaction(), SQD)
     with pytest.raises(ValueError, match="stencil"):
         master_residual(obs, 5e-5, np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("dt", [0.0, np.nan, -1e-4])
+def test_master_residual_rejects_bad_stencil_width(dt):
+    obs = PropagatedObservable(weak_interaction(), SQD)
+    with pytest.raises(InputError, match="stencil width dt"):
+        master_residual_scan(obs, [(1.2, np.array([0.3, 0.7]))], dt=dt)
+
+
+def test_master_scan_steps_only_to_each_stencil():
+    # phase 1 records at {0} and each t - dt: 0.2, 0.3 and 0.5 long intervals
+    # at the default step 0.02 are 10 + 15 + 25 substeps; phase 2 is 4 steps
+    # of dt/2.  Each step is 12 stages of one rates call, plus one call for
+    # the drift at the initial measures.  No row steps through another
+    # case's stencil.
+    base = weak_interaction()
+    calls = []
+
+    def rates(m):
+        calls.append(len(m))
+        return base.rates(m)
+
+    obs = PropagatedObservable(dataclasses.replace(base, rates=rates), SQD)
+    dt = DT_STENCIL
+    cases = [(t + dt, np.array([0.3, 0.7])) for t in (0.2, 0.5, 1.0)]
+    res = master_residual_scan(obs, cases)
+    assert len(calls) == 12 * (10 + 15 + 25 + 4) + 1
+    assert np.abs(res).max() < 1e-10
+
+
+def test_master_scan_region_exit_inside_a_stencil():
+    # mu_2 = 0.5 exp(-t) leaves the region mu_2 >= 0.1 at t* = ln 5; the case
+    # t = t* + dt/2 reaches t - dt in phase 1 and leaves dt after it, in the
+    # second phase-2 step, and the message says what that time counts from
+    model = dataclasses.replace(
+        constant([[0.0, 0.0], [1.0, -1.0]]),
+        valid_region=ValidRegion("mu_2 >= 0.1", min_mass=0.1))
+    obs = PropagatedObservable(model, SQD)
+    t = np.log(5.0) + DT_STENCIL / 2.0
+    with pytest.raises(DomainExitError,
+                       match=r"at t=0\.0001, counted from t - dt of the case"):
+        master_residual_scan(obs, [(t, np.array([0.5, 0.5]))])
 
 
 def test_tau_remainder_zero_when_no_move():

@@ -236,7 +236,8 @@ def test_constant_and_zero():
         constant(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
-def test_registry():
+def test_registry(monkeypatch):
+    monkeypatch.setattr(models, "_REGISTRY", dict(models._REGISTRY))
     m = make_model("weak_interaction", a=2.0, b=1.0, eps=0.1)
     assert m.L == 1.0
     assert make_model("non_erg").name == "example_non_erg"
