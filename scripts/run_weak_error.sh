@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full weak-error study (six population sizes, 20000 replications each).
-# Runtime is about a minute per thread-count on one core; pass e.g.
-#   scripts/run_weak_error.sh --threads 4
-# to fan chunks out over threads (results do not change). Results land in
+# Runtime is about 12 s in one process on a 2-vCPU host; pass e.g.
+#   scripts/run_weak_error.sh --threads 2
+# to fan chunks out over worker processes (results do not change; about 7 s
+# at 2 workers on the same host). Results land in
 # results/weak_error/ unless a later --out names another directory.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainExitError, InputError, SolverError
 from .models import Model, rates_and_margin
-from .simplex import as_measure, barycenter
+from .simplex import as_measure, as_tangent, barycenter
 
 DEFAULT_STEP = 0.02
 CLIP_FLOOR = -1e-10       # single-component clip tolerance
@@ -38,6 +38,20 @@ def make_grid(horizon: float, spacing: float) -> np.ndarray:
         )
     n = int(np.floor(horizon / spacing + 1e-9))
     return spacing * np.arange(n + 1)
+
+
+def as_grid(times) -> np.ndarray:
+    """Validate a recording grid: a non-empty finite non-decreasing 1-d
+    array of times >= 0, returned as floats.  The flow solver and the
+    particle simulator both check their grids with it."""
+    times = np.asarray(times, dtype=float)
+    if (times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
+            or times[0] < 0 or np.any(np.diff(times) < 0)):
+        raise InputError(
+            "recording grid must be a non-empty finite non-decreasing 1-d"
+            " array of times >= 0"
+        )
+    return times
 
 
 @dataclass
@@ -194,27 +208,33 @@ def solve_flow(
 ):
     """Batched fixed-step flow solve, optionally co-integrating tangent rows.
 
-    mu0s: (B, d) initial measures; Q0: (B, k, d) initial zero-sum tangent
-    rows, or None for k = 0; source: t -> array broadcastable to (B, k, d),
-    added to the tangent equation.  Returns (states (B, T, d), tangents
+    mu0s: (B, d) initial measures with B >= 1 and d = model.d; Q0: (B, k, d)
+    initial zero-sum tangent rows (checked by simplex.as_tangent), or None
+    for k = 0; source: t -> array broadcastable to (B, k, d), added to the
+    tangent equation.  Returns (states (B, T, d), tangents
     (B, T, k, d)).  The tangents follow q -> q @ A(m) with the linearization
     matrix rebuilt from the in-stage measure, so they see the same order of
     accuracy as the base flow.  `times` must be non-decreasing; equal
     neighbours record the same state twice.
     """
-    times = np.asarray(times, dtype=float)
-    if (times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
-            or times[0] < 0 or np.any(np.diff(times) < 0)):
-        raise InputError(
-            "recording grid must be a non-empty finite non-decreasing 1-d"
-            " array of times >= 0"
-        )
+    times = as_grid(times)
     if not 0 < step < np.inf:
         raise InputError(f"need a finite step > 0, got {step}")
-    mu0s = np.atleast_2d(np.asarray(mu0s, dtype=float))
+    mu0s = np.asarray(mu0s, dtype=float)
+    if mu0s.ndim != 2 or len(mu0s) == 0 or mu0s.shape[1] != model.d:
+        raise InputError(f"initial measures must be a (B, {model.d}) array"
+                         f" with B >= 1 for {model.name!r}, got shape"
+                         f" {mu0s.shape}")
     B, d = mu0s.shape
-    Q0 = np.zeros((B, 0, d)) if Q0 is None else np.asarray(Q0, dtype=float)
-    k = Q0.shape[-2]
+    if Q0 is None:
+        Q0 = np.zeros((B, 0, d))
+    else:
+        Q0 = np.asarray(Q0, dtype=float)
+        if Q0.ndim != 3 or Q0.shape[0] != B or Q0.shape[2] != d:
+            raise InputError(f"tangent rows Q0 must be a (B, k, d) = ({B}, k,"
+                             f" {d}) array, got shape {Q0.shape}")
+        as_tangent(Q0)
+    k = Q0.shape[1]
     model.require_valid(mu0s)
     measure_post = _make_measure_postproc(model)
 

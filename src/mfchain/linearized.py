@@ -6,8 +6,10 @@ perturbation q(t) evolves by the linear equation
     d/dt q = L_eta q + r(t),
     (L_eta q)_y = sum_z q_z [ alpha_zy(eta) + sum_x eta_x d alpha_xy/dm(eta, z) ],
 
-i.e. q -> q @ A(eta) with the matrix A below.  The flow derivative
-dm/dmu (t, mu, z) is the solution with q0 = delta_z - mu and no source.
+i.e. q -> q @ A(eta) with A = models.margin_matrix.  kolmogorov.solve_flow
+integrates it along the flow (tangent rows Q0, source term r).  The flow
+derivative dm/dmu (t, mu, z) is the solution with q0 = delta_z - mu and no
+source.
 
 Two checkable sufficient conditions for uniform exponential decay of q:
 
@@ -21,7 +23,7 @@ Two checkable sufficient conditions for uniform exponential decay of q:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,67 +31,17 @@ from . import rng
 from .errors import InputError
 from .kolmogorov import DEFAULT_STEP, make_grid, solve_flow
 from .models import Model, estimate_lipschitz, margin_matrix
-from .simplex import as_measure, as_tangent, barycenter, dirac, simplex_lattice
-
-
-def apply_L(model: Model, eta, q) -> np.ndarray:
-    """Linearized generator at the frozen measure eta applied to tangent q."""
-    eta = np.asarray(eta, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return q @ margin_matrix(model, eta)
-
-
-@dataclass
-class TangentPath:
-    """Co-integrated base flow and tangent block on a recording grid.
-
-    states[j] is the base measure at times[j]; tangents[j] has shape (k, d)
-    (or (d,) when a single tangent was requested).
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    tangents: np.ndarray
-    model_name: str = ""
-
-
-def solve_linear_cauchy(
-    model: Model,
-    mu0,
-    q0,
-    times,
-    step: float = DEFAULT_STEP,
-    source: Optional[Callable[[float], np.ndarray]] = None,
-) -> TangentPath:
-    """Solve dq/dt = L_{m(t)} q + r(t) along the flow started at mu0.
-
-    q0 may be a single zero-sum row (d,) or a stack (k, d); `source`, if
-    given, is a callable t -> matching zero-sum shape.
-    """
-    mu0 = as_measure(mu0)
-    q0 = np.asarray(q0, dtype=float)
-    single = q0.ndim == 1
-    Q0 = q0[None, :] if single else q0
-    for row in Q0:
-        as_tangent(row)
-    states, tangents = solve_flow(
-        model, mu0[None, :], times, step, Q0=Q0[None, :, :], source=source
-    )
-    tang = tangents[0, :, 0, :] if single else tangents[0]
-    return TangentPath(
-        times=np.asarray(times, dtype=float),
-        states=states[0],
-        tangents=tang,
-        model_name=model.name,
-    )
+from .simplex import as_measure, barycenter, dirac, simplex_lattice
 
 
 def m1(model: Model, t: float, mu, nu, step: float = DEFAULT_STEP) -> np.ndarray:
     """First-order flow response: d/de m(t; mu + e (nu - mu)) at e = 0."""
     mu = as_measure(mu)
     nu = as_measure(nu)
-    path = solve_linear_cauchy(model, mu, nu - mu, np.array([0.0, t]), step)
-    return path.tangents[-1]
+    _, tangents = solve_flow(
+        model, mu[None, :], np.array([0.0, t]), step, Q0=(nu - mu)[None, None, :]
+    )
+    return tangents[0, -1, 0]
 
 
 def dm_dmeasure(
@@ -97,18 +49,6 @@ def dm_dmeasure(
 ) -> np.ndarray:
     """Measure derivative of the flow toward delta_z (one direction)."""
     return m1(model, t, mu, dirac(len(np.asarray(mu)), z), step)
-
-
-def dm_dmeasure_all(
-    model: Model, t: float, mu, step: float = DEFAULT_STEP
-) -> np.ndarray:
-    """All directions at once: rows J[z] = dm/dmu (t, mu, z)."""
-    mu = as_measure(mu)
-    Q0 = np.eye(len(mu)) - mu[None, :]
-    _, tangents = solve_flow(
-        model, mu[None, :], np.array([0.0, t]), step, Q0=Q0[None, :, :]
-    )
-    return tangents[0, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +164,8 @@ def nonlinear_contraction_rate(
     of the recording grid, at least two points).  Under exponential
     ergodicity the two agree.
     """
+    if n_pairs < 1:
+        raise InputError(f"need n_pairs >= 1 random pairs, got {n_pairs}")
     floor = max(0.01, model.valid_region.min_mass + 0.005)
     mus = rng.random_measures(seed, n_pairs, model.d, floor=floor)
     nus = rng.random_measures(seed, n_pairs, model.d, floor=floor, rep=1)

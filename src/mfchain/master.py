@@ -65,22 +65,14 @@ def dU_dmeasure_all(obs: PropagatedObservable, t: float, mu) -> np.ndarray:
     return tangents[0, -1] @ functional_derivative_all(obs.phi, states[0, -1])
 
 
-def dU_dmeasure(obs: PropagatedObservable, t: float, mu, z: int) -> float:
-    return float(dU_dmeasure_all(obs, t, mu)[z])
-
-
-def master_residual(
-    obs: PropagatedObservable, t: float, mu, dt: float = DT_STENCIL
-) -> float:
-    """Defect d/dt U - dU/dm . drift at (t, mu), with Richardson-extrapolated
-    central differencing of width dt in the time argument.  Needs t > dt."""
-    return master_residual_scan(obs, [(t, mu)], dt=dt)[0]
-
-
 def master_residual_scan(
     obs: PropagatedObservable, cases, dt: float = DT_STENCIL
 ) -> np.ndarray:
     """Residuals for many (t, mu) cases with two batched solves in total.
+
+    Each residual is the defect d/dt U - dU/dm . drift at (t, mu), with
+    Richardson-extrapolated central differencing of width dt in the time
+    argument, so each case needs t > dt.
 
     Phase 1 solves every case from its mu, with the tangent frame
     Q0 = I - mu, on the grid {0} and each case's t - dt, and keeps row b's
@@ -155,9 +147,14 @@ def tau_remainder(
     config = np.asarray(config, dtype=int)
     N = len(config)
     d = obs.model.d
+    if config.ndim != 1 or N == 0 or not np.all((0 <= config) & (config < d)):
+        raise InputError(f"configuration must be a non-empty list of states"
+                         f" in [0, {d}), got {config.tolist()}")
+    if not 0 <= i < N:
+        raise InputError(f"particle index {i} out of range for N={N}")
+    if not 0 <= z < d:
+        raise InputError(f"state index {z} out of range for d={d}")
     x = int(config[i])
-    if not (0 <= z < d and 0 <= x < d):
-        raise InputError("state index out of range")
     if x == z:
         return 0.0
     counts = np.bincount(config, minlength=d).astype(float)

@@ -84,18 +84,6 @@ class Model:
             )
 
 
-def eval_rates(model: Model, mu) -> np.ndarray:
-    """Rate matrix at a single (validated) measure."""
-    mu = np.asarray(mu, dtype=float)
-    model.require_valid(mu)
-    A = model.rates(mu)
-    if not np.all(np.isfinite(A)):
-        raise InputError(
-            f"non-finite rates for model {model.name!r} at {mu.tolist()}"
-        )
-    return A
-
-
 def _chord_derivative(model: Model, mus: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Chord FD derivative tensor T[..., z, x, y], with base = rates(mus)."""
     d = model.d
@@ -145,15 +133,6 @@ def margin_matrix(model: Model, mus) -> np.ndarray:
     Newton step uses.
     """
     return rates_and_margin(model, mus)[1]
-
-
-def rate_derivative(model: Model, mu, z: int) -> np.ndarray:
-    """Matrix d alpha / dm (mu, z) for one direction z."""
-    mu = np.asarray(mu, dtype=float)
-    model.require_valid(mu)
-    if not 0 <= z < model.d:
-        raise InputError(f"state index {z} out of range for d={model.d}")
-    return rate_derivative_tensor(model, mu)[..., z, :, :]
 
 
 def estimate_lipschitz(model: Model, n_pairs: int = 10_000, seed: int = 0) -> float:

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import rng
 from .errors import DomainExitError, InputError, SolverError
+from .kolmogorov import as_grid
 from .models import Model
 from .simplex import as_measure
 
@@ -113,8 +114,9 @@ def gillespie_batch(
     """Lockstep direct-method simulation of many replications.
 
     counts0: (R, d) initial occupancy counts (constant total N per row).
-    times:   recording grid; states are right-continuous, so grid time g
-             gets the pre-jump counts of the first jump strictly after g.
+    times:   recording grid (checked by kolmogorov.as_grid); states are
+             right-continuous, so grid time g gets the pre-jump counts of
+             the first jump strictly after g.
     phi:     if given, accumulate the exact time average of phi(mu^N) over
              [burn, end] (piecewise-constant between jumps, no grid bias).
 
@@ -134,7 +136,7 @@ def gillespie_batch(
     if times is None and (phi is None or end is None):
         raise InputError("need a recording grid, or phi with an end time")
     if times is not None:
-        times = np.asarray(times, dtype=float)
+        times = as_grid(times)
     horizon = float(times[-1]) if times is not None else float(end)
     if phi is not None:
         end = horizon if end is None else float(end)
@@ -268,7 +270,7 @@ def simulate(
     rep: int = 0,
 ) -> EmpiricalPath:
     """One replication recorded on a grid."""
-    times = np.asarray(times, dtype=float)
+    times = as_grid(times)
     counts0 = sample_initial(mu0, N, seed, np.array([rep]))
     res = gillespie_batch(model, counts0, seed, np.array([rep]), times=times)
     return EmpiricalPath(
@@ -365,7 +367,7 @@ def mc_observable(
     threads: int = 1,
 ) -> MCEstimate:
     """Monte Carlo mean of phi(mu^N_t) over R replications on a grid."""
-    times = np.asarray(times, dtype=float)
+    times = as_grid(times)
 
     def values(lo, hi):
         reps = np.arange(lo, hi, dtype=np.uint64)

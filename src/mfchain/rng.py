@@ -117,17 +117,3 @@ def random_measures(seed: int, n: int, d: int, floor: float = 0.0, rep: int = 0)
     e = -np.log(u)
     w = e / e.sum(axis=1, keepdims=True)
     return floor + (1.0 - d * floor) * w
-
-
-def random_tangents(seed: int, n: int, d: int, rep: int = 0):
-    """``n`` deterministic zero-sum vectors with unit L1 norm."""
-    u = uniform_block(seed, rep, DOMAIN_SCAN, 1 << 20, n * d).reshape(n, d)
-    v = u - u.mean(axis=1, keepdims=True)
-    norms = np.abs(v).sum(axis=1, keepdims=True)
-    # a degenerate all-equal row has probability ~0; fall back to a fixed direction
-    bad = norms[:, 0] < 1e-300
-    if np.any(bad):
-        v[bad] = 0.0
-        v[bad, 0], v[bad, 1] = 0.5, -0.5
-        norms = np.abs(v).sum(axis=1, keepdims=True)
-    return v / norms

@@ -50,32 +50,19 @@ def as_measure(weights, tol: float = SUM_TOL) -> np.ndarray:
 
 
 def as_tangent(v, tol: float = SUM_TOL) -> np.ndarray:
-    """Validate a zero-sum vector."""
+    """Validate zero-sum rows: v is (..., d) with d >= 2, and each row sums to
+    0 within tol times max(1, the row's L1 norm), so grown rows keep the same
+    relative tolerance."""
     q = np.asarray(v, dtype=float)
-    if q.ndim != 1 or q.size < 2:
-        raise InputError(f"tangent must be a 1-d vector of length >= 2, got shape {q.shape}")
-    if not abs(q.sum()) <= tol:
-        raise InputError(f"tangent entries sum to {q.sum()!r}, not 0 (tol {tol})")
+    if q.ndim < 1 or q.shape[-1] < 2:
+        raise InputError(f"tangent rows must have length >= 2, got shape {q.shape}")
+    sums = q.sum(axis=-1)
+    ok = np.abs(sums) <= tol * np.maximum(1.0, np.abs(q).sum(axis=-1))
+    if not np.all(ok):
+        bad = float(sums[~ok].flat[0])
+        raise InputError(f"tangent row sums to {bad!r}, not 0 (tol {tol}"
+                         " times max(1, its L1 norm))")
     return q
-
-
-def l1_distance(a, b) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise InputError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.abs(a - b).sum())
-
-
-def mix(mu0, mu1, zeta: float) -> np.ndarray:
-    """Convex combination (1-zeta) mu0 + zeta mu1."""
-    if not 0.0 <= zeta <= 1.0:
-        raise InputError(f"mixing weight must lie in [0, 1], got {zeta}")
-    mu0 = np.asarray(mu0, dtype=float)
-    mu1 = np.asarray(mu1, dtype=float)
-    if mu0.shape != mu1.shape:
-        raise InputError(f"dimension mismatch: {mu0.shape} vs {mu1.shape}")
-    return (1.0 - zeta) * mu0 + zeta * mu1
 
 
 def dirac(d: int, z: int) -> np.ndarray:
@@ -144,25 +131,6 @@ def _fd_chord_derivative(fn, mu: np.ndarray, z: int, eps: float = FD_EPS) -> flo
     return 2.0 * probe(eps / 2.0) - probe(eps)
 
 
-def linear_functional_derivative(field: ScalarField, mu, z: int) -> float:
-    """delta F / delta m (mu, z) -- analytic when available, FD otherwise."""
-    mu = as_measure(mu)
-    if not 0 <= z < mu.size:
-        raise InputError(f"state index {z} out of range for d={mu.size}")
-    if field.grad is not None:
-        g = np.asarray(field.grad(mu), dtype=float)
-        return float(g[z] - g @ mu)
-    return _fd_chord_derivative(field.fn, mu, z)
-
-
-def directional_derivative(field: ScalarField, mu, y: int, z: int) -> float:
-    """D^m_{yz} F(mu) = dF(mu, z) - dF(mu, y); antisymmetric in (y, z)."""
-    mu = as_measure(mu)
-    if y == z:
-        return 0.0
-    return linear_functional_derivative(field, mu, z) - linear_functional_derivative(field, mu, y)
-
-
 def simpson_weights(n: int) -> np.ndarray:
     """Composite Simpson weights for n (odd, >= 3) equispaced nodes on [0, 1]."""
     if n < 3 or n % 2 == 0:
@@ -171,35 +139,6 @@ def simpson_weights(n: int) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w / (3.0 * (n - 1))
-
-
-def ftc_difference(field: ScalarField, mu0, mu1, quad_points: int = 33) -> float:
-    """Chord integral of the functional derivative; equals F(mu1) - F(mu0).
-
-    Composite Simpson quadrature of
-    int_0^1 sum_z dF((1-z) mu0 + z mu1, z) (mu1 - mu0)_z dzeta.
-    ``quad_points`` is rounded up to the next odd count if necessary.
-    """
-    if quad_points < 2:
-        raise InputError("quad_points must be >= 2")
-    n = quad_points if quad_points % 2 == 1 else quad_points + 1
-    mu0 = as_measure(mu0)
-    mu1 = as_measure(mu1)
-    diff = mu1 - mu0
-    zetas = np.linspace(0.0, 1.0, n)
-    w = simpson_weights(n)
-    if field.grad is not None:
-        pts = (1.0 - zetas)[:, None] * mu0[None, :] + zetas[:, None] * mu1[None, :]
-        dvals = functional_derivative_all(field, pts)  # (n, d)
-        integrand = dvals @ diff
-    else:
-        integrand = np.empty(n)
-        for i, zeta in enumerate(zetas):
-            pt = mix(mu0, mu1, zeta)
-            integrand[i] = sum(
-                _fd_chord_derivative(field.fn, pt, z) * diff[z] for z in range(mu0.size)
-            )
-    return float(w @ integrand)
 
 
 # ---------------------------------------------------------------------------

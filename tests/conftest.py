@@ -10,6 +10,10 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
+#: recording grids that the flow solver and the particle simulator refuse
+BAD_GRIDS = ([0.0, 1.0, 0.5], [[0.0, 1.0]], [0.0, np.nan], [0.0, np.inf], [],
+             [-1.0, 1.0])
+
 
 def measure_strategy(d: int, floor: float = 0.0):
     """Random simplex points (optionally bounded away from the boundary)."""

@@ -584,3 +584,14 @@ def test_readme_library_tour_runs():
     assert np.allclose(ns["nu"], [0.5, 0.5])
     assert ns["dec"].rate == pytest.approx(2.0, abs=0.05)
     assert ns["path"].N == 100 and ns["path"].counts.shape == (81, 2)
+
+
+def test_public_surface_resolves():
+    # a name left in __all__ after its definition is gone fails here
+    import mfchain
+    assert len(set(mfchain.__all__)) == len(mfchain.__all__)
+    missing = [n for n in mfchain.__all__ if not hasattr(mfchain, n)]
+    assert missing == []
+    ns: dict = {}
+    exec("from mfchain import *", ns)
+    assert set(mfchain.__all__) <= set(ns)

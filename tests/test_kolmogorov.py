@@ -31,7 +31,7 @@ from mfchain.models import (
     zero,
 )
 from mfchain.rng import random_measures
-from conftest import measure_strategy
+from conftest import BAD_GRIDS, measure_strategy
 
 
 def test_make_grid_exact():
@@ -182,15 +182,36 @@ def test_one_rates_call_per_tangent_stage(analytic):
     assert len(calls) == 13 * 12 * (1 if analytic else 1 + 2 * model.d)
 
 
-BAD_GRIDS = ([0.0, 1.0, 0.5], [[0.0, 1.0]], [0.0, np.nan], [0.0, np.inf], [],
-             [-1.0, 1.0])
-
-
 def test_solve_flow_rejects_bad_grids():
     model = weak_interaction()
     for times in BAD_GRIDS:
         with pytest.raises(InputError, match="recording grid"):
             solve_flow(model, [[0.9, 0.1]], times)
+
+
+def test_solve_flow_rejects_bad_measures_and_tangent_rows():
+    model = weak_interaction()
+    # a 3-entry measure on a d = 2 model used to be a raw broadcast error
+    for mus in ([[0.2, 0.3, 0.5]], [0.9, 0.1], np.zeros((0, 2))):
+        with pytest.raises(InputError, match=r"initial measures must be a \(B, 2\)"):
+            solve_flow(model, mus, [0.0, 1.0])
+    for call in (lambda: solve_kolmogorov(model, [0.2, 0.3, 0.5], [0.0, 1.0]),
+                 lambda: flow_map(model, 1.0, [0.2, 0.3, 0.5])):
+        with pytest.raises(InputError, match="initial measures"):
+            call()
+    # Q0 of the wrong shape used to be a raw "cannot reshape" error
+    for Q0 in (np.zeros((1, 2)), np.zeros((2, 1, 2)), np.zeros((1, 1, 3))):
+        with pytest.raises(InputError, match=r"Q0 must be a \(B, k, d\)"):
+            solve_flow(model, [[0.9, 0.1]], [0.0, 1.0], Q0=Q0)
+    # a non-zero-sum row is refused (see test_linearized.py), NaN included
+    with pytest.raises(InputError, match="tangent row sums to nan"):
+        solve_flow(model, [[0.9, 0.1]], [0.0, 1.0], Q0=[[[np.nan, 0.0]]])
+    # a grown frame with roundoff far above 1e-12 absolute still passes
+    mu = np.array([0.3, 0.7])
+    Q0 = 1e8 * (np.eye(2) - mu)
+    Q0[0, 0] += 1e-6
+    _, tangents = solve_flow(model, mu[None], [0.0, 0.5], Q0=Q0[None])
+    assert np.abs(tangents[0, -1].sum(axis=-1)).max() < 1e-4
 
 
 def test_validate_grid():

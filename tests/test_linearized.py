@@ -6,18 +6,15 @@ from hypothesis import given
 
 from mfchain.errors import InputError
 from mfchain.linearized import (
-    apply_L,
     check_condition1,
     check_condition2,
     dm_dmeasure,
-    dm_dmeasure_all,
     estimate_decay,
     m1,
     margin_matrix,
     nonlinear_contraction_rate,
-    solve_linear_cauchy,
 )
-from mfchain.kolmogorov import flow_map, make_grid
+from mfchain.kolmogorov import DEFAULT_STEP, flow_map, make_grid, solve_flow
 from mfchain.models import (
     constant,
     example_chaos,
@@ -39,25 +36,34 @@ def test_margin_matrix_constant_chain():
     assert np.array_equal(A[1], SYM2)
 
 
+def flow_derivative(model, t, mu, step=DEFAULT_STEP):
+    """Rows J[z] = dm/dmu (t, mu, z): the tangent frame Q0 = I - mu at t."""
+    mu = np.asarray(mu, dtype=float)
+    _, tangents = solve_flow(model, mu[None, :], [0.0, t], step,
+                             Q0=(np.eye(len(mu)) - mu)[None])
+    return tangents[0, -1]
+
+
 @given(measure_strategy(2), measure_strategy(2))
 def test_apply_L_weak_interaction_is_affine_rate(eta, q_raw):
-    # the weak-interaction drift is affine with Jacobian action -(a+b) q,
-    # uniformly in the frozen measure eta
+    # the linearized generator acts as q -> q @ A(eta); the weak-interaction
+    # drift is affine with Jacobian action -(a+b) q, uniformly in eta
     model = weak_interaction(a=1.0, b=2.0, eps=0.25)
     q = np.array([1.0, -1.0]) * (q_raw[0] - 0.5)
-    out = apply_L(model, np.asarray(eta), q)
+    out = q @ margin_matrix(model, np.asarray(eta))
     assert np.abs(out - (-(3.0) * q)).max() < 1e-12
 
 
 def test_solve_linear_cauchy_constant_chain():
+    # the linear Cauchy problem dq/dt = q A along the flow, one tangent row
     model = constant(SYM2)
     times = np.array([0.0, 0.25, 0.5, 1.0, 2.0])
     q0 = np.array([0.5, -0.5])
-    path = solve_linear_cauchy(model, np.array([0.3, 0.7]), q0, times)
+    states, tangents = solve_flow(model, [[0.3, 0.7]], times, Q0=[[q0]])
     exact = q0[None, :] * np.exp(-2.0 * times)[:, None]
-    assert np.abs(path.tangents - exact).max() < 1e-10
-    assert path.states.shape == (5, 2)
-    assert path.model_name == "constant"
+    assert np.abs(tangents[0, :, 0] - exact).max() < 1e-10
+    assert states.shape == (1, 5, 2)
+    assert tangents.shape == (1, 5, 1, 2)
 
 
 def test_solve_linear_cauchy_with_source():
@@ -66,20 +72,19 @@ def test_solve_linear_cauchy_with_source():
     times = np.array([0.0, 0.5, 1.0])
     q0 = np.array([0.5, -0.5])
     c = np.array([0.3, -0.3])
-    path = solve_linear_cauchy(
-        model, np.array([0.5, 0.5]), q0, times, source=lambda t: c
-    )
+    _, tangents = solve_flow(model, [[0.5, 0.5]], times, Q0=[[q0]],
+                             source=lambda t: c)
     decay = np.exp(-2.0 * times)[:, None]
     exact = q0[None, :] * decay + c[None, :] * (1.0 - decay) / 2.0
-    assert np.abs(path.tangents - exact).max() < 1e-10
+    assert np.abs(tangents[0, :, 0] - exact).max() < 1e-10
 
 
 def test_solve_linear_cauchy_rejects_non_tangent():
-    with pytest.raises(ValueError):
-        solve_linear_cauchy(
-            constant(SYM2), np.array([0.5, 0.5]), np.array([0.5, 0.2]),
-            np.array([0.0, 1.0]),
-        )
+    # a row that does not sum to 0 used to be projected away silently, which
+    # gave (0.0203, -0.0203) at t = 1 instead of the exact (0.370, 0.330)
+    with pytest.raises(InputError, match="tangent row sums to"):
+        solve_flow(constant(SYM2), [[0.5, 0.5]], [0.0, 1.0],
+                   Q0=[[[0.5, 0.2]]])
 
 
 def test_m1_weak_interaction_closed_form():
@@ -88,7 +93,7 @@ def test_m1_weak_interaction_closed_form():
     nu = np.array([0.2, 0.8])
     assert np.array_equal(m1(model, 0.0, mu, nu), nu - mu)
     chaos_mu = np.array([0.1, 0.2, 0.3, 0.4])
-    assert np.array_equal(dm_dmeasure_all(example_chaos(), 0.0, chaos_mu),
+    assert np.array_equal(flow_derivative(example_chaos(), 0.0, chaos_mu),
                           np.eye(4) - chaos_mu)
     for t in (0.5, 1.0, 2.0):
         got = m1(model, t, mu, nu)
@@ -98,7 +103,7 @@ def test_m1_weak_interaction_closed_form():
 
 @given(measure_strategy(2, floor=0.05))
 def test_dm_dmeasure_rows_are_tangents(mu):
-    J = dm_dmeasure_all(example_non_erg(), 0.7, np.asarray(mu), step=5e-3)
+    J = flow_derivative(example_non_erg(), 0.7, mu, step=5e-3)
     assert J.shape == (2, 2)
     assert np.abs(J.sum(axis=1)).max() < 1e-9
 
@@ -106,11 +111,11 @@ def test_dm_dmeasure_rows_are_tangents(mu):
 def test_dm_dmeasure_single_matches_frame():
     model = example_slow_conv()
     mu = np.array([0.7, 0.3])
-    J = dm_dmeasure_all(model, 1.2, mu)
+    J = flow_derivative(model, 1.2, mu)
     for z in range(2):
         row = dm_dmeasure(model, 1.2, mu, z)
         assert np.abs(row - J[z]).max() < 1e-13
-    assert np.array_equal(dm_dmeasure_all(model, 0.0, mu), np.eye(2) - mu)
+    assert np.array_equal(flow_derivative(model, 0.0, mu), np.eye(2) - mu)
 
 
 def test_m1_matches_chord_finite_difference():
@@ -189,6 +194,14 @@ def test_nonlinear_contraction_rate_short_grid():
     assert rate == pytest.approx(2.0, abs=1e-8)
     with pytest.raises(InputError, match="horizon >= spacing"):
         nonlinear_contraction_rate(weak_interaction(), horizon=0.4, spacing=0.5)
+
+
+@pytest.mark.parametrize("n_pairs", [0, -1])
+def test_nonlinear_contraction_rate_needs_a_pair(n_pairs):
+    # no pairs used to fail inside numpy's minimum of an empty list
+    with pytest.raises(InputError, match="n_pairs >= 1"):
+        nonlinear_contraction_rate(weak_interaction(), horizon=1.0,
+                                   n_pairs=n_pairs)
 
 
 # --- certificates ------------------------------------------------------------

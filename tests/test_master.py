@@ -7,11 +7,9 @@ from mfchain.errors import DomainExitError, InputError
 from mfchain.master import (
     DT_STENCIL,
     PropagatedObservable,
-    dU_dmeasure,
     dU_dmeasure_all,
     eval_U,
     eval_U_many,
-    master_residual,
     master_residual_scan,
     tau_remainder,
 )
@@ -37,6 +35,13 @@ def test_eval_U_closed_form():
         1.0 / 18.0, abs=1e-10
     )
     assert eval_U(obs, 0.0, np.array([0.9, 0.1])) == pytest.approx(0.32)
+
+
+def test_eval_U_rejects_a_measure_of_the_wrong_dimension():
+    # a 3-entry measure on a d = 2 model used to be a raw broadcast error
+    obs = PropagatedObservable(weak_interaction(), SQD)
+    with pytest.raises(InputError, match=r"initial measures must be a \(B, 2\)"):
+        eval_U(obs, 1.0, [0.2, 0.3, 0.5])
 
 
 def test_eval_U_many_matches_loop():
@@ -77,7 +82,6 @@ def test_dU_dmeasure_matches_chord_fd():
 
             fd = 2.0 * probe(5e-7) - probe(1e-6)
             assert dU[z] == pytest.approx(fd, abs=1e-7)
-            assert dU_dmeasure(obs, t, mu, z) == dU[z]
 
 
 def test_dU_dmeasure_at_time_zero_is_phi_derivative():
@@ -100,17 +104,17 @@ def test_master_residual_small_across_models():
 
 
 def test_master_residual_single_matches_scan():
+    # a single (t, mu) is a one-case scan
     obs = PropagatedObservable(weak_interaction(), SQD)
-    r1 = master_residual(obs, 1.2, np.array([0.3, 0.7]))
-    r2 = master_residual_scan(obs, [(1.2, np.array([0.3, 0.7]))])[0]
-    assert r1 == r2
-    assert abs(r1) < 1e-10
+    r = master_residual_scan(obs, [(1.2, np.array([0.3, 0.7]))])
+    assert r.shape == (1,)
+    assert abs(r[0]) < 1e-10
 
 
 def test_master_residual_needs_room_for_stencil():
     obs = PropagatedObservable(weak_interaction(), SQD)
-    with pytest.raises(ValueError, match="stencil"):
-        master_residual(obs, 5e-5, np.array([0.5, 0.5]))
+    with pytest.raises(InputError, match="stencil"):
+        master_residual_scan(obs, [(5e-5, np.array([0.5, 0.5]))])
 
 
 @pytest.mark.parametrize("dt", [0.0, np.nan, -1e-4])
@@ -190,5 +194,13 @@ def test_tau_remainder_quadratic_scaling_in_N():
 
 def test_tau_remainder_validates_indices():
     obs = PropagatedObservable(weak_interaction(), SQD)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="state index 7"):
         tau_remainder(obs, 0.5, [0, 1], i=0, z=7)
+    # a configuration entry outside [0, d) used to be a raw broadcast error,
+    # an i outside the configuration a raw IndexError
+    for config in ([0, 2], [-1, 1], [], [[0, 1]]):
+        with pytest.raises(InputError, match="configuration"):
+            tau_remainder(obs, 0.5, config, i=0, z=1)
+    for i in (2, -1):
+        with pytest.raises(InputError, match="particle index"):
+            tau_remainder(obs, 0.5, [0, 1], i=i, z=1)

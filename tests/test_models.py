@@ -11,12 +11,10 @@ from mfchain.models import (
     check_rate_matrix,
     constant,
     estimate_lipschitz,
-    eval_rates,
     example_chaos,
     example_non_erg,
     example_slow_conv,
     make_model,
-    rate_derivative,
     rate_derivative_tensor,
     register_model,
     slow_conv_exact,
@@ -38,14 +36,14 @@ def test_check_rate_matrix():
 
 
 def test_non_erg_rates_oracle():
-    A = eval_rates(example_non_erg(), np.array([0.25, 0.75]))
+    A = example_non_erg().rates(np.array([0.25, 0.75]))
     assert A[0, 1] == pytest.approx(0.25**2 + 0.25 + 1.0)          # 1.3125
     assert A[1, 0] == pytest.approx(31 * 0.25**2 - 18 * 0.25 + 3)  # 0.4375
     assert np.allclose(A.sum(axis=1), 0.0, atol=1e-14)
 
 
 def test_weak_rates_oracle():
-    A = eval_rates(weak_interaction(), np.array([0.5, 0.5]))
+    A = weak_interaction().rates(np.array([0.5, 0.5]))
     assert A[0, 1] == pytest.approx(1.125)
     assert A[1, 0] == pytest.approx(1.125)
 
@@ -166,8 +164,6 @@ def test_analytic_derivatives_bitwise_equal_loop_reference(model, ref, shape):
     got = model.rate_derivative(mus)
     assert got.shape == want.shape == shape + (2, 2, 2)
     assert got.tobytes() == want.tobytes()
-    for z in range(2):
-        assert rate_derivative(model, mus, z).tobytes() == want[..., z, :, :].tobytes()
 
 
 def test_weak_interaction_metadata():
@@ -213,8 +209,9 @@ def test_chaos_valid_region():
     ch = example_chaos()
     assert ch.valid_region.min_mass == 0.01
     with pytest.raises(InputError):
-        eval_rates(ch, np.array([0.005, 0.395, 0.3, 0.3]))
-    eval_rates(ch, np.array([0.25, 0.25, 0.25, 0.25]))
+        ch.require_valid(np.array([0.005, 0.395, 0.3, 0.3]))
+    ch.require_valid(np.array([0.25, 0.25, 0.25, 0.25]))
+    assert np.all(np.isfinite(ch.rates(np.array([0.25, 0.25, 0.25, 0.25]))))
     # FD derivative tensor is still conservative row-wise
     D = rate_derivative_tensor(ch, np.array([0.25, 0.25, 0.25, 0.25]))
     assert D.shape == (4, 4, 4)
@@ -301,9 +298,7 @@ def test_valid_region_contains_batched():
 
 def test_rate_derivative_single_direction():
     m = weak_interaction()
-    D0 = rate_derivative(m, np.array([0.5, 0.5]), 0)
+    D0 = rate_derivative_tensor(m, np.array([0.5, 0.5]))[0]
     # direction toward state 1 (0-based 0): d alpha_21 / dm = eps (1 - mu_1)
     assert D0[1, 0] == pytest.approx(0.25 * 0.5)
     assert D0[0, 1] == pytest.approx(-0.25 * 0.5)
-    with pytest.raises(InputError):
-        rate_derivative(m, np.array([0.5, 0.5]), 5)

@@ -16,6 +16,7 @@ from mfchain.particles import (
     sample_initial,
     simulate,
 )
+from conftest import BAD_GRIDS
 
 SYM2 = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -270,6 +271,18 @@ def test_input_validation():
     with pytest.raises(ValueError, match="burn"):
         gillespie_batch(zero(2), np.array([[3, 7]]), 0, np.arange(1),
                         phi=lambda m: m[..., 0], burn=2.0, end=1.0)
+    # the flow solver's grid check: an empty grid used to be a raw IndexError,
+    # and a decreasing one recorded its counts out of order
+    for times in BAD_GRIDS:
+        for call in (
+            lambda: gillespie_batch(zero(2), np.array([[3, 7]]), 0,
+                                    np.arange(1), times=times),
+            lambda: simulate(zero(2), [0.3, 0.7], 10, times, seed=0),
+            lambda: mc_observable(zero(2), lambda m: m[..., 0], [0.3, 0.7],
+                                  10, times, R=2, seed=0),
+        ):
+            with pytest.raises(InputError, match="recording grid must be"):
+                call()
 
 
 def test_time_average_exact_between_jumps():

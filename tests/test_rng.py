@@ -69,10 +69,3 @@ def test_random_measures_rep_streams_differ():
     a = rng.random_measures(3, 50, 3, rep=0)
     b = rng.random_measures(3, 50, 3, rep=1)
     assert not np.allclose(a, b)
-
-
-def test_random_tangents():
-    q = rng.random_tangents(11, 300, 5)
-    assert q.shape == (300, 5)
-    assert np.max(np.abs(q.sum(axis=1))) < 1e-12
-    assert np.allclose(np.abs(q).sum(axis=1), 1.0)

@@ -10,15 +10,10 @@ from mfchain.simplex import (
     as_tangent,
     barycenter,
     dirac,
-    directional_derivative,
     entropy_field,
-    ftc_difference,
     functional_derivative_all,
-    l1_distance,
-    linear_functional_derivative,
     linear_field,
     make_observable,
-    mix,
     quadratic_field,
     simplex_lattice,
     simpson_weights,
@@ -41,19 +36,17 @@ def test_as_tangent_validation():
     as_tangent([0.5, -0.5])
     with pytest.raises(ValueError):
         as_tangent([0.5, -0.4])
+    # rows of a (..., d) stack; the tolerance grows with a row's L1 norm
+    as_tangent([[[1e6, -1e6 + 1e-7]], [[0.0, 0.0]]])
+    with pytest.raises(InputError, match=r"sums to 9\.99\d*e-08, not 0"):
+        as_tangent([[1.0, -1.0 + 1e-7]])
+    with pytest.raises(InputError, match="sums to nan"):
+        as_tangent([[0.5, -0.5], [np.nan, 0.0]])
 
 
-def test_mix_and_dirac():
-    mu = mix([1.0, 0.0], [0.0, 1.0], 0.25)
-    assert np.allclose(mu, [0.75, 0.25])
+def test_dirac_and_barycenter():
     assert np.array_equal(dirac(3, 1), [0.0, 1.0, 0.0])
     assert np.allclose(barycenter(4), 0.25)
-    with pytest.raises(ValueError):
-        mix([1.0, 0.0], [0.0, 1.0], 1.5)
-
-
-def test_l1_distance():
-    assert l1_distance([0.3, 0.7], [0.5, 0.5]) == pytest.approx(0.4)
 
 
 # --- functional derivative ------------------------------------------------
@@ -68,18 +61,18 @@ SQUARE_FIRST_FD = ScalarField(name="mu1_squared_fd", fn=SQUARE_FIRST.fn)
 
 def test_linear_functional_derivative_oracle():
     # F = mu_1^2 at (0.3, 0.7): gradient (0.6, 0), mean 0.18
-    mu = np.array([0.3, 0.7])
-    assert linear_functional_derivative(SQUARE_FIRST, mu, 0) == pytest.approx(0.42)
-    assert linear_functional_derivative(SQUARE_FIRST, mu, 1) == pytest.approx(-0.18)
-    assert directional_derivative(SQUARE_FIRST, mu, 0, 1) == pytest.approx(-0.60)
+    df = functional_derivative_all(SQUARE_FIRST, np.array([0.3, 0.7]))
+    assert df[0] == pytest.approx(0.42)
+    assert df[1] == pytest.approx(-0.18)
+    assert df[1] - df[0] == pytest.approx(-0.60)     # D^m_{yz} F, y=0, z=1
 
 
 def test_fd_path_matches_analytic():
+    # the field without a gradient takes the chord finite-difference path
     mu = np.array([0.3, 0.7])
-    for z in (0, 1):
-        fd = linear_functional_derivative(SQUARE_FIRST_FD, mu, z)
-        an = linear_functional_derivative(SQUARE_FIRST, mu, z)
-        assert fd == pytest.approx(an, abs=1e-9)
+    fd = functional_derivative_all(SQUARE_FIRST_FD, mu)
+    an = functional_derivative_all(SQUARE_FIRST, mu)
+    assert np.abs(fd - an).max() < 1e-9
 
 
 LIB_FIELDS = [
@@ -108,16 +101,13 @@ def test_representation_via_gradient(mu):
 
 @given(measure_strategy(3), st.integers(0, 2), st.integers(0, 2))
 def test_aggregation_identity(mu, y, z):
-    # sum_y mu_y [dF(z) - dF(y)] = dF(z); pairwise differences aggregate back
+    # sum_y mu_y [dF(z) - dF(y)] = dF(z): the pairwise differences
+    # D[y, z] = dF(z) - dF(y) aggregate back, and D is antisymmetric
     for field in LIB_FIELDS[:2]:
         df = functional_derivative_all(field, mu)
-        agg = sum(
-            mu[yy] * directional_derivative(field, mu, yy, z) for yy in range(3)
-        )
-        assert agg == pytest.approx(df[z], abs=1e-8)
-        assert directional_derivative(field, mu, y, z) == pytest.approx(
-            df[z] - df[y], abs=1e-12
-        )
+        D = df[None, :] - df[:, None]
+        assert float(np.asarray(mu) @ D[:, z]) == pytest.approx(df[z], abs=1e-8)
+        assert D[y, z] == -D[z, y]
 
 
 def test_simpson_weights():
@@ -129,13 +119,22 @@ def test_simpson_weights():
         simpson_weights(4)
 
 
+def chord_integral(field, mu0, mu1, n):
+    """Simpson rule on n nodes for int_0^1 dF(mu_zeta) . (mu1 - mu0) dzeta
+    along the chord mu_zeta = (1 - zeta) mu0 + zeta mu1."""
+    mu0, mu1 = np.asarray(mu0), np.asarray(mu1)
+    zetas = np.linspace(0.0, 1.0, n)[:, None]
+    dvals = functional_derivative_all(field, (1.0 - zetas) * mu0 + zetas * mu1)
+    return float(simpson_weights(n) @ (dvals @ (mu1 - mu0)))
+
+
 @given(measure_strategy(3), measure_strategy(3))
 def test_ftc_chord_integral(mu0, mu1):
     for field in LIB_FIELDS:
         lhs = float(field(np.asarray(mu1)) - field(np.asarray(mu0)))
         # entropy's integrand has a large 4th derivative near the boundary,
         # so give Simpson enough nodes for a uniform tolerance
-        rhs = ftc_difference(field, mu0, mu1, quad_points=201)
+        rhs = chord_integral(field, mu0, mu1, 201)
         assert lhs == pytest.approx(rhs, abs=1e-7)
 
 
@@ -144,11 +143,11 @@ def test_ftc_exact_for_quadratic():
     f = quadratic_field(np.array([[1.0, -0.5], [-0.5, 2.0]]), c=np.array([0.3, 0.0]))
     mu0, mu1 = np.array([0.9, 0.1]), np.array([0.2, 0.8])
     lhs = float(f(mu1) - f(mu0))
-    assert ftc_difference(f, mu0, mu1, quad_points=5) == pytest.approx(lhs, abs=1e-14)
+    assert chord_integral(f, mu0, mu1, 5) == pytest.approx(lhs, abs=1e-14)
 
 
 def test_time_chain_rule_along_synthetic_curve():
-    # phi(t) = mix(mu0, mu1, s(t)) with s = sin^2; d/dt F(phi) = dF . phi'
+    # phi(t) = (1 - s) mu0 + s mu1 with s = sin^2 t; d/dt F(phi) = dF . phi'
     mu0, mu1 = np.array([0.8, 0.15, 0.05]), np.array([0.2, 0.3, 0.5])
     for field in LIB_FIELDS:
         for t in (0.3, 0.7, 1.2):
