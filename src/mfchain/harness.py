@@ -187,6 +187,28 @@ def run_grid(cfg: dict) -> np.ndarray:
                      cfg_float(cfg, "run.spacing", 0.25))
 
 
+def master_cases(cfg: dict, model: Model, seed: int) -> tuple:
+    """The (t, mu) cases of master-check and the range [tmin, tmax] of t.
+
+    master.cases measures with every mass at least master.floor, or 0.01
+    above the model's valid-region floor if that is higher, each paired
+    with a time uniform on [master.tmin, master.tmax] from the seed's scan
+    stream.
+    """
+    n = cfg_int(cfg, "master.cases", 100)
+    tmin = cfg_float(cfg, "master.tmin", 0.5)
+    tmax = cfg_float(cfg, "master.tmax", 3.0)
+    floor = max(cfg_float(cfg, "master.floor", 0.05),
+                model.valid_region.min_mass + 0.01
+                if model.valid_region.min_mass > 0 else 0.0)
+    mus = rng.random_measures(seed, n, model.d, floor=floor)
+    key = rng.domain_key(rng.stream_key(seed, 0), rng.DOMAIN_SCAN)
+    ts = tmin + (tmax - tmin) * rng.uniforms(
+        key, np.arange(n, dtype=np.uint64)
+    )
+    return [(float(ts[i]), mus[i]) for i in range(n)], [tmin, tmax]
+
+
 def decay_probe(model: Model, cfg: dict, seed: int) -> dict:
     """The linearized decay fit as a report record.
 
@@ -316,6 +338,8 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
     mu0 = initial_measure(cfg, model)
     times = run_grid(cfg)
     R = cfg_int(cfg, "run.R", 20_000)
+    if R < 1:
+        raise InputError(f"need at least one replication, got R = {R}")
     Ns = cfg_ints(cfg, "run.Ns", "8,16,32,64,128,256")
     T = len(times)
 
@@ -532,20 +556,8 @@ def run_master_check(cfg: dict, out: str, seed: int, threads: int = 1,
     model = model_from_config(cfg)
     phi = observable_from_config(cfg, model)
     obs = PropagatedObservable(model, phi, step=run_step(cfg))
-    n = cfg_int(cfg, "master.cases", 100)
-    tmin = cfg_float(cfg, "master.tmin", 0.5)
-    tmax = cfg_float(cfg, "master.tmax", 3.0)
     tol = cfg_float(cfg, "master.tol", 1e-8)
-    floor = max(cfg_float(cfg, "master.floor", 0.05),
-                model.valid_region.min_mass + 0.01
-                if model.valid_region.min_mass > 0 else 0.0)
-
-    mus = rng.random_measures(seed, n, model.d, floor=floor)
-    key = rng.domain_key(rng.stream_key(seed, 0), rng.DOMAIN_SCAN)
-    ts = tmin + (tmax - tmin) * rng.uniforms(
-        key, np.arange(n, dtype=np.uint64)
-    )
-    cases = [(float(ts[i]), mus[i]) for i in range(n)]
+    cases, t_range = master_cases(cfg, model, seed)
     residuals = master_residual_scan(obs, cases)
     max_abs = float(np.max(np.abs(residuals)))
     code = EXIT_PASS if max_abs < tol else EXIT_FAIL
@@ -553,12 +565,12 @@ def run_master_check(cfg: dict, out: str, seed: int, threads: int = 1,
     write_csv(
         os.path.join(out, "residuals.csv"),
         ["t"] + [f"mu_{z + 1}" for z in range(model.d)] + ["residual"],
-        [tuple([cases[i][0]] + list(cases[i][1]) + [residuals[i]])
-         for i in range(n)],
+        [tuple([t] + list(mu) + [res])
+         for (t, mu), res in zip(cases, residuals)],
     )
     return {
-        "n_cases": n,
-        "t_range": [tmin, tmax],
+        "n_cases": len(cases),
+        "t_range": t_range,
         "tol": tol,
         "max_residual": max_abs,
         "exit_code": code,

@@ -36,8 +36,12 @@ def make_grid(horizon: float, spacing: float) -> np.ndarray:
         raise InputError(
             f"need a finite horizon >= 0 and spacing > 0, got {horizon}, {spacing}"
         )
-    n = int(np.floor(horizon / spacing + 1e-9))
-    return spacing * np.arange(n + 1)
+    n = np.floor(horizon / spacing + 1e-9)
+    try:
+        return spacing * np.arange(int(n) + 1)
+    except (OverflowError, ValueError, MemoryError):    # inf, unsizable, too big
+        raise InputError(f"cannot build a grid of spacing {spacing} up to"
+                         f" {horizon}: {n:.3g} points") from None
 
 
 def as_grid(times) -> np.ndarray:

@@ -19,6 +19,8 @@ from mfchain.harness import (
     _ols_loglog,
     config_hash,
     initial_measure,
+    load_config,
+    master_cases,
     model_from_config,
     observable_from_config,
     parse_config_text,
@@ -246,6 +248,15 @@ MALFORMED = [
     "solve --model.name=constant --model.Q=1,2;3",
     "solve --model.name=weak_interaction --model.foo=1",
     "solve --model.name=weak_interaction --run.horizon=abc",
+    # grids whose point count numpy cannot size, or overflows to infinity
+    "solve --model.name=weak_interaction --run.spacing=1e-300",
+    "solve --model.name=weak_interaction --run.horizon=1e300",
+    "solve --model.name=weak_interaction --run.spacing=5e-324",
+    "decay-fit --model.name=weak_interaction --decay.spacing=1e-300",
+    # 8e17 bytes: more than any address space, so the allocation fails at once
+    "solve --model.name=weak_interaction --run.horizon=1 --run.spacing=1e-17",
+    # refused before the certification bundle runs
+    "weak-error --model.name=weak_interaction --observable.target=0.5,0.5 --run.R=0",
 ]
 
 
@@ -572,6 +583,17 @@ def test_simulate_reproduces_committed_mc_bytes(tmp_path, threads):
     assert rc == 0
     committed = ROOT / "results" / "weak_error" / "mc_N8.csv"
     assert open(os.path.join(out, "mc.csv"), "rb").read() == committed.read_bytes()
+
+
+def test_master_cases_reproduce_committed_columns():
+    # run_master_check writes these cases; the committed scan is at seed 0
+    cfg = load_config(str(ROOT / "configs" / "master_check.cfg"))
+    cases, t_range = master_cases(cfg, model_from_config(cfg), 0)
+    committed = ROOT / "results" / "master_check" / "residuals.csv"
+    rows = [[float(v) for v in line.split(",")[:3]]
+            for line in committed.read_text().splitlines()[1:]]
+    assert [[t, *mu] for t, mu in cases] == rows
+    assert t_range == [0.5, 3.0]
 
 
 def test_readme_library_tour_runs():

@@ -93,6 +93,19 @@ def test_dU_dmeasure_at_time_zero_is_phi_derivative():
     assert np.abs(dU - expected).max() < 1e-12
 
 
+def test_dU_dmeasure_batch_matches_single_measures():
+    # a (..., d) batch is one flow solve; each row agrees with its own solve
+    obs = PropagatedObservable(example_slow_conv(), QUAD)
+    mus = np.array([[[0.3, 0.7], [0.8, 0.2]], [[0.5, 0.5], [0.1, 0.9]]])
+    batched = dU_dmeasure_all(obs, 0.9, mus)
+    assert batched.shape == mus.shape
+    singles = np.array([[dU_dmeasure_all(obs, 0.9, mu) for mu in row] for row in mus])
+    assert np.abs(batched - singles).max() < 1e-14
+    for bad in (0.5, [[0.5, 0.6]]):
+        with pytest.raises(InputError, match="measure"):
+            dU_dmeasure_all(obs, 0.9, bad)
+
+
 def test_master_residual_small_across_models():
     rs = random_measures(7, 10, 2, floor=0.05)
     ts = 0.5 + 2.5 * np.linspace(0.0, 1.0, 10)
