@@ -155,8 +155,7 @@ def observable_from_config(cfg: dict, model: Model) -> ScalarField:
         if "observable.target" in cfg:
             params["target"] = cfg_vector(cfg, "observable.target", model)
         else:
-            params["target"], _ = stationary_distribution(model,
-                                                          step=run_step(cfg))
+            params["target"], _ = stationary_search(cfg, model)
     elif name == "linear":
         params["coeffs"] = cfg_vector(cfg, "observable.coeffs", model)
     elif name == "entropy":
@@ -180,6 +179,14 @@ def run_step(cfg: dict) -> float:
     return cfg_float(cfg, "run.step", DEFAULT_STEP)
 
 
+def stationary_search(cfg: dict, model: Model) -> tuple:
+    """(nu, info): the stationary search of stationary-gap, and of sq_dist's
+    default target, from init.mu (else the barycentre) at run.step."""
+    return stationary_distribution(
+        model, mu0=initial_measure(cfg, model) if "init.mu" in cfg else None,
+        step=run_step(cfg))
+
+
 def run_grid(cfg: dict) -> np.ndarray:
     """The recording grid of solve, simulate and weak-error: multiples of
     run.spacing up to run.horizon, so its last time may fall short of it."""
@@ -198,6 +205,8 @@ def master_cases(cfg: dict, model: Model, seed: int) -> tuple:
     n = cfg_int(cfg, "master.cases", 100)
     tmin = cfg_float(cfg, "master.tmin", 0.5)
     tmax = cfg_float(cfg, "master.tmax", 3.0)
+    if not tmin <= tmax:
+        raise InputError(f"need master.tmin <= master.tmax, got {tmin}, {tmax}")
     floor = max(cfg_float(cfg, "master.floor", 0.05),
                 model.valid_region.min_mass + 0.01
                 if model.valid_region.min_mass > 0 else 0.0)
@@ -302,6 +311,29 @@ def _ols_loglog(xs, ys):
     resid = ly - A @ coef
     dof = max(len(lx) - 2, 1)
     return float(coef[0]), float(coef[1]), float(np.sqrt(resid @ resid / dof))
+
+
+def mc_verdict(Ns, effects, halves, R: int) -> dict:
+    """Log-log fit of the effects |effect_N| and the Monte Carlo verdict.
+
+    Conclusive when each half-width (1.96 stderr, from R replications) is
+    below half its effect; else R_needed would get there, or is None when an
+    effect is exactly 0 or a half-width is not finite.
+    """
+    effects, halves = np.asarray(effects, float), np.asarray(halves, float)
+    slope, intercept, resid_sd = _ols_loglog(Ns, np.maximum(effects, 1e-300))
+    inconclusive = bool(np.any(halves > effects / 2.0))
+    r_needed = None
+    if inconclusive and np.all(effects > 0):
+        need = np.ceil(R * float(np.max(2.0 * halves / effects)) ** 2)
+        r_needed = int(need) if np.isfinite(need) else None
+    return {
+        "fit": {"slope": slope, "intercept": intercept,
+                "residual_sd": resid_sd, "n_points": len(Ns)},
+        "verdict": "inconclusive" if inconclusive else "conclusive",
+        "R_needed": r_needed,
+        "exit_code": EXIT_INCONCLUSIVE if inconclusive else EXIT_PASS,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +446,9 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
             "error_curve": err,
         })
 
+    # each N's sup error against the half-width at its arg-max time
     sups = np.array([rec["sup_error"] for rec in per_N])
-    halves = np.array([rec["half_width"] for rec in per_N])
-    slope, intercept, resid_sd = _ols_loglog(Ns, np.maximum(sups, 1e-300))
-
-    # conclusive means every N resolves its own sup error: the confidence
-    # half-width at the arg-max time must sit below half that sup
-    noise = float(np.max(halves / np.maximum(sups, 1e-300)))
-    inconclusive = noise > 0.5
-    r_needed = int(np.ceil(R * (2.0 * noise) ** 2)) if inconclusive else None
+    verdict = mc_verdict(Ns, sups, [rec["half_width"] for rec in per_N], R)
 
     lam = bundle["decay"]["lambda"]
     horizon = float(times[-1])
@@ -444,13 +470,9 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
         "grid": times,
         "u_curve": u_curve,
         "per_N": per_N,
-        "fit": {"slope": slope, "intercept": intercept,
-                "residual_sd": resid_sd, "n_points": len(Ns)},
         "normalized_sup": float(np.max(sups * np.asarray(Ns, dtype=float))),
         "tail": tail,
-        "verdict": "inconclusive" if inconclusive else "conclusive",
-        "R_needed": r_needed,
-        "exit_code": EXIT_INCONCLUSIVE if inconclusive else EXIT_PASS,
+        **verdict,
     }
 
 
@@ -461,10 +483,7 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
 def run_stationary_gap(cfg: dict, out: str, seed: int, threads: int = 1,
                        force: bool = False) -> dict:
     model = model_from_config(cfg)
-    nu, info = stationary_distribution(model,
-                                       mu0=initial_measure(cfg, model)
-                                       if "init.mu" in cfg else None,
-                                       step=run_step(cfg))
+    nu, info = stationary_search(cfg, model)
     phi = observable_from_config(cfg, model)
     decay = decay_probe(model, cfg, seed)
     if decay["flagged"] and not force:
@@ -497,14 +516,8 @@ def run_stationary_gap(cfg: dict, out: str, seed: int, threads: int = 1,
             "R": R,
         })
 
-    gaps = np.array([abs(rec["gap"]) for rec in per_N])
-    errs = np.array([rec["stderr"] for rec in per_N])
-    slope, intercept, resid_sd = _ols_loglog(Ns, np.maximum(gaps, 1e-300))
-    inconclusive = bool(np.any(1.96 * errs > gaps / 2.0))
-    r_needed = None
-    if inconclusive and np.all(gaps > 0):
-        r_needed = int(np.ceil(R * float(np.max(2 * 1.96 * errs / gaps)) ** 2))
-
+    verdict = mc_verdict(Ns, [abs(rec["gap"]) for rec in per_N],
+                         [1.96 * rec["stderr"] for rec in per_N], R)
     write_csv(
         os.path.join(out, "gap.csv"),
         ["N", "gap", "stderr", "R", "window", "burn"],
@@ -519,11 +532,7 @@ def run_stationary_gap(cfg: dict, out: str, seed: int, threads: int = 1,
         "burn": burn,
         "window": window,
         "per_N": per_N,
-        "fit": {"slope": slope, "intercept": intercept,
-                "residual_sd": resid_sd, "n_points": len(Ns)},
-        "verdict": "inconclusive" if inconclusive else "conclusive",
-        "R_needed": r_needed,
-        "exit_code": EXIT_INCONCLUSIVE if inconclusive else EXIT_PASS,
+        **verdict,
     }
 
 

@@ -81,6 +81,16 @@ def _fit_window(horizon: float, spacing: float) -> tuple:
     return times, tail
 
 
+def _decay_rate(times, curve) -> float:
+    """Minus the least-squares slope of log(curve) on times."""
+    return -np.polyfit(times, np.log(np.maximum(curve, 1e-300)), 1)[0]
+
+
+def _probe_floor(model: Model) -> float:
+    """Smallest mass of a random probe measure, inside the valid region."""
+    return max(0.01, model.valid_region.min_mass + 0.005)
+
+
 def estimate_decay(
     model: Model,
     horizon: float = 20.0,
@@ -101,7 +111,7 @@ def estimate_decay(
     if n_random < 0:
         raise InputError(f"need n_random >= 0 random probes, got {n_random}")
     d = model.d
-    floor = max(0.01, model.valid_region.min_mass + 0.005)
+    floor = _probe_floor(model)
     samples = [barycenter(d)]
     for z in range(d):
         samples.append(barycenter(d) + 0.02 * (dirac(d, z) - barycenter(d)))
@@ -129,9 +139,7 @@ def estimate_decay(
             sel = valid[b] & (times >= vt[-1] / 2.0)
         if sel.sum() < 2:
             sel = np.arange(len(times)) < 2
-        y = np.log(np.maximum(agg[b, sel], 1e-300))
-        slope = np.polyfit(times[sel], y, 1)[0]
-        rates[b] = -slope
+        rates[b] = _decay_rate(times[sel], agg[b, sel])
     rate = float(rates.min())
     for b in range(B):
         grow = norms[b, valid[b]] * np.exp(rate * times[valid[b]])[:, None]
@@ -166,19 +174,15 @@ def nonlinear_contraction_rate(
     """
     if n_pairs < 1:
         raise InputError(f"need n_pairs >= 1 random pairs, got {n_pairs}")
-    floor = max(0.01, model.valid_region.min_mass + 0.005)
+    floor = _probe_floor(model)
     mus = rng.random_measures(seed, n_pairs, model.d, floor=floor)
     nus = rng.random_measures(seed, n_pairs, model.d, floor=floor, rep=1)
     times, tail = _fit_window(horizon, spacing)
     a = solve_flow(model, mus, times, step)[0]
     b = solve_flow(model, nus, times, step)[0]
     dist = np.abs(a - b).sum(axis=2)
-    tt = times[tail]
-    rates = [
-        -np.polyfit(tt, np.log(np.maximum(dist[i, tail], 1e-300)), 1)[0]
-        for i in range(n_pairs)
-    ]
-    return float(np.min(rates))
+    return float(np.min([_decay_rate(times[tail], dist[i, tail])
+                         for i in range(n_pairs)]))
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,13 @@ def dU_dmeasure_all(obs: PropagatedObservable, t: float, mus) -> np.ndarray:
         obs.model, flat, np.array([0.0, t]), obs.step,
         Q0=np.eye(flat.shape[1]) - flat[:, None, :],
     )
-    dphi = functional_derivative_all(obs.phi, states[:, -1])    # (B, d)
-    dU = np.einsum("bzy,by->bz", tangents[:, -1], dphi)
-    return dU.reshape(mus.shape)
+    return _chain_rule(obs, states[:, -1], tangents[:, -1]).reshape(mus.shape)
+
+
+def _chain_rule(obs: PropagatedObservable, states, frames) -> np.ndarray:
+    """dU/dm (B, z) from flow states m (B, d) and frames dm/dmu (B, z, d)."""
+    dphi = functional_derivative_all(obs.phi, states)           # (B, d)
+    return np.einsum("bzy,by->bz", frames, dphi)
 
 
 def master_residual_scan(
@@ -131,8 +135,7 @@ def master_residual_scan(
     D_full = (u_p1 - u_m1) / (2.0 * dt)
     D_half = (u_ph - u_mh) / dt
     dUdt = (4.0 * D_half - D_full) / 3.0
-    dphi = functional_derivative_all(obs.phi, states[:, 2])     # (B, d)
-    dU = np.einsum("bzy,by->bz", tangents[:, 2], dphi)          # (B, d)
+    dU = _chain_rule(obs, states[:, 2], tangents[:, 2])          # (B, d)
     drift = np.einsum("bx,bxy->by", mus, obs.model.rates(mus))
     return dUdt - np.einsum("bz,bz->b", dU, drift)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng
 from .errors import InputError
-from .simplex import FD_EPS, simplex_lattice
+from .simplex import chord_derivative, simplex_lattice
 
 ROW_SUM_TOL = 1e-12       # |row sum| allowed per unit of the row's largest |rate|
 PROBE_RESOLUTION = 3      # lattice of the valid region that make_model checks
@@ -84,27 +84,12 @@ class Model:
             )
 
 
-def _chord_derivative(model: Model, mus: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Chord FD derivative tensor T[..., z, x, y], with base = rates(mus)."""
-    d = model.d
-    out = np.empty(mus.shape[:-1] + (d, d, d))
-    for z in range(d):
-        ez = np.zeros(d)
-        ez[z] = 1.0
-
-        def probe(e):
-            return (model.rates((1.0 - e) * mus + e * ez) - base) / e
-
-        out[..., z, :, :] = 2.0 * probe(FD_EPS / 2.0) - probe(FD_EPS)
-    return out
-
-
 def rate_derivative_tensor(model: Model, mus) -> np.ndarray:
     """Full derivative tensor T[..., z, x, y]; analytic or chord FD."""
     mus = np.asarray(mus, dtype=float)
     if model.rate_derivative is not None:
         return model.rate_derivative(mus)
-    return _chord_derivative(model, mus, model.rates(mus))
+    return chord_derivative(model.rates, mus)
 
 
 def rates_and_margin(model: Model, mus) -> tuple:
@@ -118,7 +103,7 @@ def rates_and_margin(model: Model, mus) -> tuple:
     if model.rate_derivative is not None:
         D = model.rate_derivative(mus)                  # (..., z, x, y)
     else:
-        D = _chord_derivative(model, mus, R)
+        D = chord_derivative(model.rates, mus, base=R)
     return R, R + np.einsum("...x,...zxy->...zy", mus, D)
 
 

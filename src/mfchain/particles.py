@@ -18,8 +18,8 @@ results are independent of batching, chunking, and worker count.
 State layout in gillespie_batch: each per-row quantity (row id, event key,
 counts, time, draw counter, grid pointer, next grid time, events, time
 average) is a compact array over the active rows only, in row order.  The
-arrays shrink when rows finish or die (no outgoing rate); a finished row's
-totals are written back to the full-size outputs by its row id.
+arrays shrink when rows finish, dead ones (no outgoing rate) at their next
+step; a finished row's totals are written back to the full-size outputs.
 
 Randomness layout per replication (see rng module): the init domain uses
 draw i for particle i's initial state; the event domain uses draws 2k and
@@ -101,6 +101,7 @@ def sample_initial(mu0, N: int, seed: int, reps) -> np.ndarray:
     return counts[0] if scalar else counts
 
 
+@np.errstate(divide="ignore", invalid="ignore")     # dead rows, see below
 def gillespie_batch(
     model: Model,
     counts0: np.ndarray,
@@ -142,6 +143,7 @@ def gillespie_batch(
         end = horizon if end is None else float(end)
         if not 0.0 <= burn < end:
             raise InputError("need 0 <= burn < end")
+    stop = horizon if phi is None else max(horizon, end)  # rows run until then
 
     reps_arr = np.atleast_1d(np.asarray(reps, dtype=np.uint64))
     if len(reps_arr) != R:
@@ -205,23 +207,17 @@ def gillespie_batch(
         A = model.rates(mu)
         running = list(accumulate(counts[:, x] * A[:, x, y] for x, y in pairs))
         lam = running[-1]
+        if not steps and float(lam.max()) * stop > MAX_EVENTS:
+            raise InputError(f"expected about {float(lam.max()) * stop:.3g}"
+                             f" events in a replication up to t={stop:.6g},"
+                             f" more than MAX_EVENTS = {MAX_EVENTS}")
 
-        dead = lam <= 0.0
-        if dead.any():
-            # frozen rows: the rest of the grid and the phi tail, then retire
-            if grid is not None:
-                sel = np.flatnonzero(dead & (ptr < T))
-                while len(sel):
-                    record(sel)
-                    sel = sel[ptr[sel] < T]
-            if acc is not None:
-                span = np.maximum(end - np.maximum(t[dead], burn), 0.0)
-                acc[dead] += phi(mu[dead]) * span
-            retire(dead)
-            continue
-
+        # a dead row (no outgoing rate) never jumps: its next event is at
+        # +inf (explicitly, as u = 1 gives 0/0), so this step records the
+        # rest of its grid and its phi tail, and retires it
         u = rng.uniforms(key, ctr + _WAIT_CAT)           # (2, n)
         t_new = t - np.log(u[0]) / lam
+        t_new[lam <= 0.0] = np.inf
 
         if grid is not None:
             sel = np.flatnonzero(nxt < t_new)
@@ -237,6 +233,7 @@ def gillespie_batch(
                 acc[nz] += phi(mu[nz]) * span[nz]
 
         # the jump: the first pair whose running total reaches u * lambda
+        # (a dead row takes pair 0's jump; it retires below, unread)
         v = u[1] * lam
         j = (running[0] < v).astype(np.intp)
         for s in running[1:-1]:

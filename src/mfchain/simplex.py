@@ -107,28 +107,26 @@ def functional_derivative_all(field: ScalarField, mu) -> np.ndarray:
     if field.grad is not None:
         g = field.grad(mu)
         return g - np.sum(g * mu, axis=-1, keepdims=True)
-    d = mu.shape[-1]
-    flat = mu.reshape(-1, d)
-    res = np.empty_like(flat)
-    for i in range(flat.shape[0]):
-        for z in range(d):
-            res[i, z] = _fd_chord_derivative(field.fn, flat[i], z)
-    return res.reshape(mu.shape)
+    return chord_derivative(field.fn, mu)
 
 
-def _fd_chord_derivative(fn, mu: np.ndarray, z: int, eps: float = FD_EPS) -> float:
-    """One-sided chord FD with one Richardson level (O(eps^2) accurate).
+def chord_derivative(f, mus, base=None) -> np.ndarray:
+    """Chord FD derivative T[..., z, ...] of f toward each delta_z.
 
-    The chord toward delta_z stays inside the simplex for any eps in
-    (0, 1], so a one-sided stencil is always admissible.
+    f maps measures (..., d) to values (...,) + S, such as a field's fn or
+    a model's rates; T is (..., d) + S.  base is f(mus) if the caller has
+    it.  One-sided with one Richardson level (O(eps^2) accurate): the chord
+    toward delta_z stays inside the simplex for any eps in (0, 1].
     """
-    f0 = float(fn(mu))
-    ez = dirac(mu.size, z)
+    mus = np.asarray(mus, dtype=float)
+    base = f(mus) if base is None else base
+    deltas = np.eye(mus.shape[-1])
 
-    def probe(e):
-        return (float(fn((1.0 - e) * mu + e * ez)) - f0) / e
+    def probe(z, e):
+        return (f((1.0 - e) * mus + e * deltas[z]) - base) / e
 
-    return 2.0 * probe(eps / 2.0) - probe(eps)
+    return np.stack([2.0 * probe(z, FD_EPS / 2.0) - probe(z, FD_EPS)
+                     for z in range(len(deltas))], axis=mus.ndim - 1)
 
 
 def simpson_weights(n: int) -> np.ndarray:

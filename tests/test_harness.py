@@ -21,6 +21,7 @@ from mfchain.harness import (
     initial_measure,
     load_config,
     master_cases,
+    mc_verdict,
     model_from_config,
     observable_from_config,
     parse_config_text,
@@ -142,6 +143,25 @@ def test_ols_loglog_exact():
     assert sd == pytest.approx(0.0, abs=1e-12)
 
 
+def test_mc_verdict():
+    Ns = [10, 100]
+    ok = mc_verdict(Ns, [0.05, 0.005], [0.001, 0.002], R=100)
+    assert (ok["verdict"], ok["R_needed"], ok["exit_code"]) == ("conclusive", None, 0)
+    assert ok["fit"]["slope"] == pytest.approx(-1.0, abs=1e-12)
+    assert ok["fit"]["n_points"] == 2
+    # the worst N has half-width 0.005 against effect 0.005: (2 * 1)^2 = 4 R
+    noisy = mc_verdict(Ns, [0.05, 0.005], [0.001, 0.005], R=100)
+    assert (noisy["verdict"], noisy["R_needed"], noisy["exit_code"]) == (
+        "inconclusive", 400, 2)
+    # an effect of exactly 0 is resolved by no R
+    zero = mc_verdict(Ns, [0.05, 0.0], [0.001, 0.001], R=100)
+    assert (zero["verdict"], zero["R_needed"], zero["exit_code"]) == (
+        "inconclusive", None, 2)
+    # an overflowing stderr: no R is named (int(inf) raised OverflowError)
+    wild = mc_verdict(Ns, [0.05, 0.005], [0.001, np.inf], R=100)
+    assert (wild["verdict"], wild["R_needed"]) == ("inconclusive", None)
+
+
 def test_parse_dotted():
     assert parse_dotted(["--run.R=500"]) == {"run.R": "500"}
     assert parse_dotted(["--run.R", "500", "--model.name=zero"]) == {
@@ -257,6 +277,16 @@ MALFORMED = [
     "solve --model.name=weak_interaction --run.horizon=1 --run.spacing=1e-17",
     # refused before the certification bundle runs
     "weak-error --model.name=weak_interaction --observable.target=0.5,0.5 --run.R=0",
+    # expected event counts far beyond MAX_EVENTS: these used to run until
+    # killed
+    "stationary-gap --model.name=constant --model.Q=-1,1;1,-1 --gap.window=1e300"
+    " --gap.R=2 --gap.Ns=10",
+    "stationary-gap --model.name=constant --model.Q=-1,1;1,-1 --gap.burn=1e300"
+    " --gap.R=2 --gap.Ns=10",
+    "simulate --model.name=weak_interaction --run.N=100 --run.horizon=1e12"
+    " --run.spacing=1e11",
+    "master-check --model.name=weak_interaction --observable.target=0.5,0.5"
+    " --master.tmin=5 --master.tmax=1",
 ]
 
 
@@ -554,6 +584,18 @@ def test_stationary_gap_constant_chain(tmp_path):
     assert len(lines) == 3
 
 
+def test_stationary_gap_measures_from_its_own_nu(tmp_path):
+    # example_non_erg rests at mu_1 = 1/4, 1/2 and 3/4; the search from
+    # init.mu finds 1/4, and the default sq_dist target is that same nu
+    out = str(tmp_path / "gap")
+    assert main(["stationary-gap", "--model.name=example_non_erg",
+                 "--init.mu=0.2,0.8", "--gap.R=50", "--gap.Ns=10,100",
+                 "--gap.burn=5", "--force", "--out", out]) in (0, 2)
+    rep = json.load(open(os.path.join(out, "report.json")))
+    assert np.allclose(rep["nu_infinity"], [0.25, 0.75])
+    assert rep["phi_at_nu"] == 0.0
+
+
 def test_stationary_gap_thread_identity(tmp_path):
     # R > 5000 gives two chunks, so the threads really split the work
     base = ["stationary-gap", "--model.name=constant", "--model.Q=-1,1;1,-1",
@@ -583,6 +625,26 @@ def test_simulate_reproduces_committed_mc_bytes(tmp_path, threads):
     assert rc == 0
     committed = ROOT / "results" / "weak_error" / "mc_N8.csv"
     assert open(os.path.join(out, "mc.csv"), "rb").read() == committed.read_bytes()
+
+
+# each study as its script runs it: (results/ directory, command line)
+STUDIES = [
+    *[(f"certify_{name}", ["certify", f"--model.name={name}"])
+      for name in ("weak_interaction", "example_slow_conv", "example_non_erg")],
+    ("master_check", ["master-check", "--config",
+                      str(ROOT / "configs" / "master_check.cfg")]),
+    ("stationary_gap", ["stationary-gap", "--config",
+                        str(ROOT / "configs" / "stationary_gap.cfg")]),
+]
+
+
+@pytest.mark.parametrize("study, argv", STUDIES, ids=[s for s, _ in STUDIES])
+def test_study_reproduces_committed_results(study, argv, tmp_path):
+    main(argv + ["--out", str(tmp_path)])
+    committed = sorted((ROOT / "results" / study).iterdir())
+    assert [p.name for p in committed] == sorted(os.listdir(tmp_path))
+    for path in committed:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_master_cases_reproduce_committed_columns():

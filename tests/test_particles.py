@@ -271,6 +271,14 @@ def test_input_validation():
     with pytest.raises(ValueError, match="burn"):
         gillespie_batch(zero(2), np.array([[3, 7]]), 0, np.arange(1),
                         phi=lambda m: m[..., 0], burn=2.0, end=1.0)
+    # about N * 1e12 = 1e14 expected events, to the grid's end or to end
+    for kw in ({"times": np.array([0.0, 1e12])},
+               {"phi": lambda m: m[..., 0], "end": 1e12},
+               {"times": np.array([0.0, 1.0]), "phi": lambda m: m[..., 0],
+                "end": 1e12}):
+        with pytest.raises(InputError, match="1e\\+14 events"):
+            gillespie_batch(constant(SYM2), np.array([[50, 50]]), 0,
+                            np.arange(1), **kw)
     # the flow solver's grid check: an empty grid used to be a raw IndexError,
     # and a decreasing one recorded its counts out of order
     for times in BAD_GRIDS:
@@ -298,3 +306,38 @@ def test_time_average_exact_between_jumps():
                               phi=lambda m: m[..., 0], end=4.0)
     manual = res_grid["counts"][0, :-1, 0].sum() * 1e-3 / 4.0
     assert res_avg["phi_avg"][0] == pytest.approx(manual, abs=2e-3)
+
+
+def test_dead_rows_finish_in_the_main_step():
+    # the absorbing chain: state 1 -> 2 at rate 1, state 2 never leaves, so
+    # each row dies when its last particle reaches state 2, at its own time
+    model = constant(np.array([[-1.0, 1.0], [0.0, 0.0]]))
+    N, R, seed = 3, 40, 5
+    reps = np.arange(R)
+    counts0 = sample_initial([0.7, 0.3], N, seed, reps)
+    final = np.array([0, N])
+
+    def both_halves(**kw):
+        full = gillespie_batch(model, counts0, seed, reps, **kw)
+        halves = [gillespie_batch(model, counts0[s], seed, reps[s], **kw)
+                  for s in (slice(0, R // 2), slice(R // 2, R))]
+        for k in ("counts", "phi_avg", "events"):
+            if full[k] is not None:
+                assert np.array_equal(
+                    full[k], np.concatenate([h[k] for h in halves]))
+        return full
+
+    res = both_halves(times=np.linspace(0.0, 2.0, 9))
+    dead = np.all(res["counts"][:, -1] == final, axis=1)
+    assert 0 < dead.sum() < R                 # rows die and rows live on
+    for r in np.flatnonzero(dead):
+        first = np.argmax(np.all(res["counts"][r] == final, axis=1))
+        assert np.all(res["counts"][r, first:] == final)
+    assert np.array_equal(res["events"][dead], counts0[dead, 0])
+
+    # phi mode, some rows dying inside [burn, end] ...
+    both_halves(phi=lambda m: m[..., 1], burn=0.5, end=3.0)
+    # ... and every row dead before burn: the average is its final value
+    res = both_halves(phi=lambda m: m[..., 1], burn=40.0, end=41.0)
+    assert np.array_equal(res["phi_avg"], np.ones(R))
+    assert np.array_equal(res["events"], counts0[:, 0])

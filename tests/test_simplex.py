@@ -75,6 +75,19 @@ def test_fd_path_matches_analytic():
     assert np.abs(fd - an).max() < 1e-9
 
 
+def test_fd_path_batch_equals_rows():
+    # one batched chord difference over (B, d) gives each row's bytes
+    field = ScalarField("entropy_fd", entropy_field().fn)
+    mus = np.array([[0.2, 0.5, 0.3], [1.0, 0.0, 0.0], [0.1, 0.1, 0.8],
+                    [1 / 3, 1 / 3, 1 / 3], [0.6, 0.0, 0.4]])
+    batch = functional_derivative_all(field, mus)
+    rows = np.array([functional_derivative_all(field, mu) for mu in mus])
+    assert batch.shape == mus.shape
+    assert np.array_equal(batch, rows)
+    assert np.array_equal(functional_derivative_all(field, mus.reshape(5, 1, 3)),
+                          batch.reshape(5, 1, 3))
+
+
 LIB_FIELDS = [
     sq_dist_field(np.array([0.2, 0.5, 0.3])),
     linear_field(np.array([1.0, -2.0, 0.5])),
