@@ -20,14 +20,16 @@ in ROOT, and each round alternates which root goes first.  Measurements:
                     N = 8 and 64, R = 20000, seed 12345) at --threads w = 1
                     and 2; each mc.csv is compared with results/weak_error/.
 
-The first three kinds run once with Model.rates wrapped by a counter (also a
-warm-up), then once timed.  --studies adds, once per root, the wall time of
-scripts/run_weak_error.sh and run_stationary_gap.sh at --threads 2 and
-whether their artifacts equal the committed results/.
+The first three kinds run once with Model.rates and Model.rate_derivative
+wrapped by counters (also a warm-up), then once timed.  --studies adds, once
+per root, the wall time of scripts/run_weak_error.sh and
+run_stationary_gap.sh at --threads 2 and whether their artifacts equal the
+committed results/.
 
 Prints one JSON object: per root and measurement, each timing's runs with
-their quartiles and median, and the first round's facts (rates calls, result
-digest, mc.csv equality).  results_identical: both roots give equal digests;
+their quartiles and median, and the first round's facts (rates and
+derivative calls, result digest, mc.csv equality).  results_identical: per
+measurement, whether both roots give equal digests;
 counts_and_digests_repeat: every round gave the same facts.
 """
 
@@ -73,14 +75,18 @@ def flow(model):
 
 def measure_flow():
     model = getattr(models, name[6:] if name.startswith("decay_") else "example_slow_conv")()
-    calls = [0]
-    def counted(mu, rates=model.rates):
-        calls[0] += 1
-        return rates(mu)
-    flow(dataclasses.replace(model, rates=counted))
+    calls = {"rates_calls": 0, "derivative_calls": 0}
+    def counter(fn, key):
+        def counted(mu):
+            calls[key] += 1
+            return fn(mu)
+        return counted
+    deriv = model.rate_derivative and counter(model.rate_derivative, "derivative_calls")
+    flow(dataclasses.replace(model, rates=counter(model.rates, "rates_calls"),
+                             rate_derivative=deriv))
     t0 = time.perf_counter()
     out = flow(model)
-    return {"wall_s": time.perf_counter() - t0}, {"rates_calls": calls[0], "digest": digest(out)}
+    return {"wall_s": time.perf_counter() - t0}, {**calls, "digest": digest(out)}
 
 def measure_kernel():
     model, times = models.weak_interaction(), 0.25 * np.arange(81)
@@ -172,8 +178,8 @@ def main() -> int:
         out[s] = {m: {**{t: summary([r["times"][t] for r in rs])
                          for t in rs[0]["times"]}, **rs[0]["facts"]}
                   for m, rs in runs[s].items()}
-    out["results_identical"] = all(out["before"][m]["digest"] == out["after"][m]["digest"]
-                                   for m in MEASUREMENTS)
+    out["results_identical"] = {m: out["before"][m]["digest"] == out["after"][m]["digest"]
+                                for m in MEASUREMENTS}
     out["counts_and_digests_repeat"] = all(r["facts"] == rs[0]["facts"]
                                            for s in sides for rs in runs[s].values()
                                            for r in rs)

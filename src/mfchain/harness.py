@@ -148,14 +148,17 @@ def model_from_config(cfg: dict) -> Model:
     return make_model(name, **params)
 
 
-def observable_from_config(cfg: dict, model: Model) -> ScalarField:
+def observable_from_config(cfg: dict, model: Model,
+                           nu: Optional[np.ndarray] = None) -> ScalarField:
+    """The configured observable.  sq_dist's default target is the
+    stationary search's nu: pass it as nu if the search has already run."""
     name = cfg_str(cfg, "observable.name", "sq_dist")
     params: dict = {}
     if name == "sq_dist":
         if "observable.target" in cfg:
             params["target"] = cfg_vector(cfg, "observable.target", model)
         else:
-            params["target"], _ = stationary_search(cfg, model)
+            params["target"] = stationary_search(cfg, model)[0] if nu is None else nu
     elif name == "linear":
         params["coeffs"] = cfg_vector(cfg, "observable.coeffs", model)
     elif name == "entropy":
@@ -480,11 +483,29 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
 # stationary gap
 
 
+def _check_gap_end(burn: float, window: float) -> None:
+    """The averaging window [gap.burn, gap.burn + gap.window] must not be
+    empty in floating point."""
+    if not burn + window > burn:
+        raise InputError(f"gap.burn + gap.window must exceed gap.burn, but"
+                         f" {burn} + {window} rounds to {burn + window}")
+
+
 def run_stationary_gap(cfg: dict, out: str, seed: int, threads: int = 1,
                        force: bool = False) -> dict:
     model = model_from_config(cfg)
+    window = cfg_float(cfg, "gap.window", 10.0)
+    if not 0 < window < np.inf:
+        raise InputError(f"config key gap.window: need a finite value > 0,"
+                         f" got {window}")
+    burn = cfg_float(cfg, "gap.burn", 0.0) if "gap.burn" in cfg else None
+    if burn is not None:
+        if not 0 <= burn < np.inf:
+            raise InputError(f"config key gap.burn: need a finite value >= 0,"
+                             f" got {burn}")
+        _check_gap_end(burn, window)
     nu, info = stationary_search(cfg, model)
-    phi = observable_from_config(cfg, model)
+    phi = observable_from_config(cfg, model, nu)
     decay = decay_probe(model, cfg, seed)
     if decay["flagged"] and not force:
         raise InputError(
@@ -492,9 +513,9 @@ def run_stationary_gap(cfg: dict, out: str, seed: int, threads: int = 1,
             "  Re-run with --force and an explicit gap.burn."
         )
     lam = decay["lambda"]
-    burn = cfg_float(cfg, "gap.burn",
-                     10.0 / lam if lam is not None and lam > 0 else 5.0)
-    window = cfg_float(cfg, "gap.window", 10.0)
+    if burn is None:
+        burn = 10.0 / lam if lam is not None and lam > 0 else 5.0
+        _check_gap_end(burn, window)
     R = cfg_int(cfg, "gap.R", 400)
     Ns = cfg_ints(cfg, "gap.Ns", "10,100,1000")
     phi_ref = float(phi(nu))

@@ -11,6 +11,18 @@ are hit exactly).  The step does not depend on the state, so every row of a
 batch is integrated on its own and an affine flow is mapped affinely.  Tiny
 negative components caused by roundoff are clipped and renormalized under a
 strict cumulative budget; anything larger aborts the run.
+
+Tangent rows of the linearized equation q' = q A(m(t)) + r(t) (see
+linearized) are not stepped beside the measure.  The measure flow runs as it
+does without them, keeping its stage measures; the equation is linear, so
+once a step's stage measures are known the step is an affine map
+q -> q @ M + e.  The step propagators (M, e) of a block of substeps come
+from one rates_and_margin call on all of the block's stage measures and the
+same stage loop on the rows of the identity, and the tangent rows then
+advance by one matrix product per substep.  A block holds at most
+models.MARGIN_ROWS stage measures (but at least one substep), so its memory
+grows neither with the interval length nor, until a single substep exceeds
+the cap, with the batch.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainExitError, InputError, SolverError
-from .models import Model, rates_and_margin
+from .models import MARGIN_ROWS, Model, rates_and_margin
 from .simplex import as_measure, as_tangent, barycenter
 
 DEFAULT_STEP = 0.02
@@ -116,6 +128,50 @@ _STAGE_TERMS = [_terms(_A[s]) for s in range(1, len(_C))]
 _STEP_TERMS = _terms(_B)
 
 
+def _rk_step(f, y, h: float, K: np.ndarray) -> np.ndarray:
+    """One DOP853 step of length h from the (B, n) rows y: the stage loop.
+
+    f(s, y_s) is the derivative at stage s, called once per stage in stage
+    order; K, a (12, B, n) buffer, receives the stage derivatives.
+    """
+    K[0] = f(0, y)
+    for s, (idx, a) in enumerate(_STAGE_TERMS, start=1):
+        K[s] = f(s, y + h * (a * K[idx]).sum(axis=0))
+    idx, b = _STEP_TERMS
+    return y + h * (b * K[idx]).sum(axis=0)
+
+
+def _march(f, y, times, step: float, postproc=None, block=None):
+    """Step the (B, n) rows y across the grid; yields (j, ts, h, y).
+
+    Each recording interval j is cut into equal substeps of length h <= step
+    so grid times are exact.  A yield follows every run of at most `block`
+    substeps (all of the interval's when block is None), which started at
+    the times ts, with y the state after them; a zero-length interval yields
+    once, with no substeps and y unchanged.  Times, nodes and step lengths
+    are Python floats (IEEE doubles, like numpy's float64, but cheaper to
+    combine than numpy scalars).
+    """
+    times = [float(t) for t in times]
+    step = float(step)
+    K = np.empty((len(_C),) + y.shape)             # the stage derivatives
+    for j in range(len(times) - 1):
+        t0, span = times[j], times[j + 1] - times[j]
+        if span == 0:
+            yield j, [], 0.0, y
+            continue
+        nsub = max(1, math.ceil(span / step - 1e-12))
+        h = span / nsub
+        per = nsub if block is None else block
+        for i0 in range(0, nsub, per):
+            ts = [t0 + i * h for i in range(i0, min(i0 + per, nsub))]
+            for t in ts:
+                y = _rk_step(lambda s, ys: f(t + _C[s] * h, ys), y, h, K)
+                if postproc is not None:
+                    y = postproc(t + h, y)
+            yield j, ts, h, y
+
+
 def rk_segments(
     f: Callable[[float, np.ndarray], np.ndarray],
     y0: np.ndarray,
@@ -127,37 +183,48 @@ def rk_segments(
 
     y0: (B, n) flat state rows; returns (B, T, n).  Each recording interval
     is cut into equal substeps of length <= step so grid times are exact.
-    A zero-length interval records its start state unchanged.  Times, nodes
-    and step lengths are Python floats (IEEE doubles, like numpy's float64,
-    but cheaper to combine than numpy scalars).
+    A zero-length interval records its start state unchanged.
     """
     y = np.array(y0, dtype=float)
     if y.ndim != 2:
         raise InputError("rk_segments expects a (B, n) state block")
-    times = [float(t) for t in times]
-    step = float(step)
-    T = len(times)
-    out = np.empty((y.shape[0], T, y.shape[1]))
+    out = np.empty((y.shape[0], len(times), y.shape[1]))
     out[:, 0] = y
-    K = np.empty((len(_C),) + y.shape)             # the stage derivatives
-    for j in range(T - 1):
-        t0, span = times[j], times[j + 1] - times[j]
-        if span == 0:
-            out[:, j + 1] = y
-            continue
-        nsub = max(1, math.ceil(span / step - 1e-12))
-        h = span / nsub
-        for i in range(nsub):
-            t = t0 + i * h
-            K[0] = f(t, y)
-            for s, (idx, a) in enumerate(_STAGE_TERMS, start=1):
-                K[s] = f(t + _C[s] * h, y + h * (a * K[idx]).sum(axis=0))
-            idx, b = _STEP_TERMS
-            y = y + h * (b * K[idx]).sum(axis=0)
-            if postproc is not None:
-                y = postproc(t + h, y)
+    for j, _, _, y in _march(f, y, times, step, postproc):
         out[:, j + 1] = y
     return out
+
+
+def _step_propagators(model: Model, S, ts, h: float, source, k: int):
+    """(M, e) of each substep of a block, so that its DOP853 step of the
+    tangent equation q' = q A(m) + r maps q to q @ M + e.
+
+    S: (12, n, B, d) stage measures of n substeps of length h, started at
+    the times ts.  The linearizations A_s come from one rates_and_margin
+    call on all of them.  The tangent equation is linear, so the step is
+    the stage loop run on the rows of the identity, G_s = (I + h sum_j
+    a_sj G_j) A_s and M = I + h sum_s b_s G_s, and e is the same step
+    started from 0 with r at each stage time.  Returns M (n, B, d, d) and,
+    with a source, e (n, B, k, d); else None.
+    """
+    nst, n, B, d = S.shape
+    A = rates_and_margin(model, S.reshape(-1, d))[1].reshape(nst, n * B, d, d)
+    rows = d if source is None else d + k          # identity, then k zero rows
+    y = np.zeros((n * B, rows, d))
+    y[:, range(d), range(d)] = 1.0
+    if source is not None:
+        r = np.array([[np.broadcast_to(source(t + c * h), (B, k, d)) for t in ts]
+                      for c in _C]).reshape(nst, n * B, k, d)
+
+    def f(s, Y):
+        G = Y.reshape(n * B, rows, d) @ A[s]
+        if source is not None:
+            G[:, d:] += r[s]
+        return G.reshape(n * B, rows * d)
+
+    K = np.empty((nst, n * B, rows * d))
+    P = _rk_step(f, y.reshape(n * B, rows * d), h, K).reshape(n, B, rows, d)
+    return P[:, :, :d], (None if source is None else P[:, :, d:])
 
 
 def _make_measure_postproc(model: Model):
@@ -210,16 +277,21 @@ def solve_flow(
     Q0=None,
     source: Optional[Callable[[float], np.ndarray]] = None,
 ):
-    """Batched fixed-step flow solve, optionally co-integrating tangent rows.
+    """Batched fixed-step flow solve, optionally with tangent rows.
 
     mu0s: (B, d) initial measures with B >= 1 and d = model.d; Q0: (B, k, d)
     initial zero-sum tangent rows (checked by simplex.as_tangent), or None
     for k = 0; source: t -> array broadcastable to (B, k, d), added to the
     tangent equation.  Returns (states (B, T, d), tangents
-    (B, T, k, d)).  The tangents follow q -> q @ A(m) with the linearization
-    matrix rebuilt from the in-stage measure, so they see the same order of
-    accuracy as the base flow.  `times` must be non-decreasing; equal
-    neighbours record the same state twice.
+    (B, T, k, d)).  `times` must be non-decreasing; equal neighbours record
+    the same state twice.
+
+    The states are those of the solve without tangents, bit for bit.  The
+    tangents follow q' = q @ A(m) + r with the linearization matrix taken at
+    each stage measure, so they see the same order of accuracy as the base
+    flow: each substep applies its DOP853 step propagator (M, e), built for a
+    block of substeps at a time (see _step_propagators), and re-projects the
+    rows onto zero sum.
     """
     times = as_grid(times)
     if not 0 < step < np.inf:
@@ -249,34 +321,37 @@ def solve_flow(
         states = rk_segments(drift, mu0s, times, step, measure_post)
         return states, np.zeros((B, len(times), 0, d))
 
-    # the RHS block: drift in the first d columns, the k tangent rows after;
-    # rk_segments copies it into its stage stack, so one buffer serves all
-    dY = np.empty((B, d + k * d))
-    dQ = dY[:, d:].reshape(B, k, d)
+    # the measure flow is the k = 0 march, keeping each block's stage
+    # measures; the tangent rows then advance one step propagator at a time
+    nst = len(_C)
+    per = max(1, MARGIN_ROWS // (nst * B))        # substeps per block
+    S = np.empty((nst, per, B, d))
+    recorded = 0                                   # stages of the block so far
 
-    def f(t, Y):
-        m = Y[:, :d]
-        R, A = rates_and_margin(model, m)       # one rates call per stage
-        # the drift is the same einsum as without tangents, so the states do
-        # not depend on the tangent rows; the product is one matmul per row
-        dY[:, :d] = np.einsum("bx,bxy->by", m, R)
-        np.matmul(Y[:, d:].reshape(B, k, d), A, out=dQ)
-        if source is not None:
-            np.add(dQ, source(t), out=dQ)
-        return dY
+    def record(t, m):
+        nonlocal recorded
+        S[recorded % nst, recorded // nst] = m    # stage, substep of the block
+        recorded += 1
+        return drift(t, m)
 
-    def postproc(t, Y):
-        Y[:, :d] = measure_post(t, Y[:, :d])
-        # tangent rows stay zero-sum under the exact dynamics (the
-        # linearization matrix has zero row sums); re-project so roundoff
-        # cannot accumulate in that invariant direction
-        Q = Y[:, d:].reshape(B, k, d)
-        Q -= Q.mean(axis=-1, keepdims=True)
-        return Y
-
-    Y0 = np.concatenate([mu0s, Q0.reshape(B, k * d)], axis=1)
-    out = rk_segments(f, Y0, times, step, postproc)
-    return out[:, :, :d], out[:, :, d:].reshape(B, len(times), k, d)
+    states = np.empty((B, len(times), d))
+    tangents = np.empty((B, len(times), k, d))
+    states[:, 0], tangents[:, 0] = mu0s, Q0
+    Q = Q0
+    for j, ts, h, y in _march(record, mu0s, times, step, measure_post, per):
+        if ts:
+            M, e = _step_propagators(model, S[:, :len(ts)], ts, h, source, k)
+            for i in range(len(ts)):
+                Q = Q @ M[i]
+                if e is not None:
+                    Q += e[i]
+                # tangent rows stay zero-sum under the exact dynamics (the
+                # linearization matrix has zero row sums); re-project so
+                # roundoff cannot accumulate in that invariant direction
+                Q -= Q.mean(axis=-1, keepdims=True)
+            recorded = 0
+        states[:, j + 1], tangents[:, j + 1] = y, Q
+    return states, tangents
 
 
 def solve_kolmogorov(

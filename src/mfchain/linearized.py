@@ -7,9 +7,12 @@ perturbation q(t) evolves by the linear equation
     (L_eta q)_y = sum_z q_z [ alpha_zy(eta) + sum_x eta_x d alpha_xy/dm(eta, z) ],
 
 i.e. q -> q @ A(eta) with A = models.margin_matrix.  kolmogorov.solve_flow
-integrates it along the flow (tangent rows Q0, source term r).  The flow
-derivative dm/dmu (t, mu, z) is the solution with q0 = delta_z - mu and no
-source.
+integrates it along the flow (tangent rows Q0, source term r).  The
+equation is linear, so each DOP853 substep is an affine map q -> q @ M + e:
+solve_flow runs the measure flow alone, builds the step propagators (M, e)
+from one rates_and_margin call per block of substeps, and then advances the
+tangent rows by one matrix product per substep.  The flow derivative
+dm/dmu (t, mu, z) is the solution with q0 = delta_z - mu and no source.
 
 Two checkable sufficient conditions for uniform exponential decay of q:
 
@@ -30,7 +33,7 @@ import numpy as np
 from . import rng
 from .errors import InputError
 from .kolmogorov import DEFAULT_STEP, make_grid, solve_flow
-from .models import Model, estimate_lipschitz, margin_matrix
+from .models import MARGIN_ROWS, Model, estimate_lipschitz, margin_matrix
 from .simplex import as_measure, barycenter, dirac, simplex_lattice
 
 
@@ -249,9 +252,6 @@ def check_condition1(
     )
 
 
-MARGIN_BATCH = 4096       # lattice points per margin_matrix call
-
-
 def default_resolution(d: int) -> int:
     return 50 if d <= 3 else 15
 
@@ -275,8 +275,8 @@ def check_condition2(
 
     offmask = ~np.eye(d, dtype=bool)
     offs_all = np.concatenate([                         # (n, d*(d-1)) row-major
-        margin_matrix(model, lattice[lo : lo + MARGIN_BATCH])[:, offmask]
-        for lo in range(0, len(lattice), MARGIN_BATCH)
+        margin_matrix(model, lattice[lo : lo + MARGIN_ROWS])[:, offmask]
+        for lo in range(0, len(lattice), MARGIN_ROWS)
     ])
     # the first minimum in row-major order: the first point in lattice order
     # with the smallest margin, and its first (x, y) pair

@@ -6,7 +6,7 @@ U solves the backward transport equation
 
 whose right side only involves the measure derivative of U in the drift
 direction.  This module evaluates U, its measure derivative (via the
-co-integrated tangent flow), the defect of the equation above under finite
+tangent rows of the flow solve), the defect of the equation above under finite
 differencing in t (the "master residual"), and the second-order remainder
 tau of a single-particle jump expansion of U.
 """

@@ -92,6 +92,11 @@ def rate_derivative_tensor(model: Model, mus) -> np.ndarray:
     return chord_derivative(model.rates, mus)
 
 
+# measures per rates_and_margin call where many are batched: condition 2's
+# lattice chunks and the step-propagator blocks of kolmogorov.solve_flow
+MARGIN_ROWS = 1024
+
+
 def rates_and_margin(model: Model, mus) -> tuple:
     """(alpha(mu), A(mu)) from one rates evaluation; see margin_matrix.
 

@@ -14,8 +14,11 @@ def load_bench():
 
 
 def test_master_scan_child_counts_rates_calls():
-    # 2 473 rates calls is the scan's count recorded in BENCH_master.json
+    # 206 substeps of 12 stages and one drift call (2 473, the count in
+    # BENCH_master.json), plus one call per block of step propagators: 100
+    # cases make a block of one substep
     rec = load_bench().child(str(ROOT), "master_scan")
-    assert rec["facts"]["rates_calls"] == 2473
+    assert rec["facts"]["rates_calls"] == 12 * 206 + 1 + 206
+    assert rec["facts"]["derivative_calls"] == 206
     assert rec["times"]["wall_s"] > 0
     assert len(rec["facts"]["digest"]) == 16

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mfchain import models
+from mfchain import harness, models
 from mfchain.cli import main, parse_dotted
 from mfchain.errors import InputError
 from mfchain.harness import (
@@ -29,6 +29,7 @@ from mfchain.harness import (
     write_csv,
     write_json,
 )
+from mfchain.kolmogorov import stationary_distribution
 
 
 def test_parse_config_text():
@@ -287,6 +288,13 @@ MALFORMED = [
     " --run.spacing=1e11",
     "master-check --model.name=weak_interaction --observable.target=0.5,0.5"
     " --master.tmin=5 --master.tmax=1",
+    # an averaging window that is empty or unbounded, refused in config
+    # terms before the stationary search and the decay probe
+    "stationary-gap --model.name=constant --model.Q=-1,1;1,-1 --gap.burn=-1",
+    "stationary-gap --model.name=constant --model.Q=-1,1;1,-1 --gap.burn=inf",
+    "stationary-gap --model.name=constant --model.Q=-1,1;1,-1 --gap.window=0",
+    "stationary-gap --model.name=constant --model.Q=-1,1;1,-1 --gap.window=-5",
+    "stationary-gap --model.name=constant --model.Q=-1,1;1,-1 --gap.window=nan",
 ]
 
 
@@ -476,7 +484,10 @@ def test_certify_and_decay_fit_share_one_probe(tmp_path):
     cert = report("certify", step, "cert")["decay"]
     default = report("certify", [], "default")["decay"]
     assert cert == {k: fit[k] for k in cert}                # lambda bitwise
-    assert cert["lambda"] != default["lambda"]
+    # the settings reach certify's probe: every sample's rate moves (the
+    # smallest, lambda, is 2 to the last bits at both settings)
+    assert all(a != b for a, b in zip(cert["per_sample_rates"],
+                                      default["per_sample_rates"]))
 
 
 def test_reported_horizons_are_the_last_grid_time(tmp_path):
@@ -594,6 +605,50 @@ def test_stationary_gap_measures_from_its_own_nu(tmp_path):
     rep = json.load(open(os.path.join(out, "report.json")))
     assert np.allclose(rep["nu_infinity"], [0.25, 0.75])
     assert rep["phi_at_nu"] == 0.0
+
+
+def _count_stationary_searches(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return stationary_distribution(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "stationary_distribution", counted)
+    return calls
+
+
+def test_stationary_gap_searches_once_for_nu_and_target(tmp_path, monkeypatch):
+    # with observable.target unset, sq_dist's target is the nu the command
+    # already found; the search used to run a second time for it
+    calls = _count_stationary_searches(monkeypatch)
+    out = str(tmp_path / "gap")
+    assert main(["stationary-gap", "--model.name=example_non_erg",
+                 "--init.mu=0.2,0.8", "--gap.R=20", "--gap.Ns=10",
+                 "--gap.window=1", "--gap.burn=1", "--decay.horizon=2",
+                 "--force", "--out", out]) in (0, 2)
+    assert len(calls) == 1
+    assert json.load(open(os.path.join(out, "report.json")))["phi_at_nu"] == 0.0
+
+
+@pytest.mark.parametrize("setting, key", [
+    ("--gap.burn=1e300", "gap.burn + gap.window"),
+    ("--gap.burn=-1", "gap.burn"), ("--gap.burn=inf", "gap.burn"),
+    ("--gap.window=0", "gap.window"), ("--gap.window=-5", "gap.window"),
+    ("--gap.window=inf", "gap.window"),
+    ("--gap.burn=1 --gap.window=1e-17", "gap.burn + gap.window"),
+])
+def test_stationary_gap_checks_burn_and_window_first(setting, key, tmp_path,
+                                                     monkeypatch, capfd):
+    # these used to end in the kernel's "need 0 <= burn < end" after the
+    # stationary search and a full decay probe
+    calls = _count_stationary_searches(monkeypatch)
+    assert main(["stationary-gap", "--model.name=constant",
+                 "--model.Q=-1,1;1,-1", *setting.split(),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capfd.readouterr().err
+    assert f"mfchain: error: config key {key}:" in err or f"error: {key} must" in err
+    assert calls == []
 
 
 def test_stationary_gap_thread_identity(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given
 from mfchain.errors import DomainExitError, InputError, SolverError
 from mfchain.kolmogorov import (
     CLIP_BUDGET,
+    DEFAULT_STEP,
     Trajectory,
     _A,
     _B,
@@ -20,12 +21,14 @@ from mfchain.kolmogorov import (
     stationary_distribution,
 )
 from mfchain.models import (
+    MARGIN_ROWS,
     Model,
     ValidRegion,
     constant,
     example_chaos,
     example_non_erg,
     example_slow_conv,
+    rates_and_margin,
     slow_conv_exact,
     weak_interaction,
     zero,
@@ -170,16 +173,98 @@ def test_zero_length_interval_records_start_without_rhs():
 
 @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "chord-fd"])
 def test_one_rates_call_per_tangent_stage(analytic):
-    # a 0.25-long solve at the default step is 13 substeps x 12 stages; each
-    # tangent RHS evaluates the rates once, plus 2 chord probes per direction
-    # when the model has no analytic derivative
+    # a 0.25-long solve at the default step is 13 substeps x 12 stages, each
+    # one rates call of the measure flow; the tangent rows add one
+    # rates_and_margin call per block of substeps (one block here: 13 x 12
+    # stage measures fit in MARGIN_ROWS), which makes 2 more chord probes
+    # per direction when the model has no analytic derivative
     base = weak_interaction()
     if not analytic:
         base = dataclasses.replace(base, rate_derivative=None)
     model, calls = _counting(base)
     mu = np.array([[0.3, 0.7]])
     solve_flow(model, mu, [0.0, 0.25], Q0=np.eye(2) - mu[:, None, :])
-    assert len(calls) == 13 * 12 * (1 if analytic else 1 + 2 * model.d)
+    assert len(calls) == 13 * 12 + (1 if analytic else 1 + 2 * model.d)
+
+
+def test_tangents_of_a_constant_chain_are_the_matrix_exponential():
+    from scipy.linalg import expm
+
+    Q = np.array([[-1.0, 0.7, 0.3], [0.2, -0.5, 0.3], [1.1, 0.4, -1.5]])
+    mus = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
+    Q0 = np.eye(3) - mus[:, None, :]
+    times = make_grid(3.0, 0.25)
+    _, tangents = solve_flow(constant(Q), mus, times, Q0=Q0)
+    exact = np.array([[q0 @ expm(t * Q) for t in times] for q0 in Q0])
+    assert np.abs(tangents - exact).max() < 1e-13
+
+
+def _co_integrated(model, mus, times, Q0, source=None):
+    """The tangent rows stepped beside the measure, as one augmented RHS
+    with a linearization per stage: the reference of the propagators."""
+    B, k, d = Q0.shape
+    measure_post = _make_measure_postproc(model)
+
+    def f(t, Y):
+        m = Y[:, :d]
+        R, A = rates_and_margin(model, m)
+        dQ = Y[:, d:].reshape(B, k, d) @ A
+        if source is not None:
+            dQ = dQ + source(t)
+        return np.concatenate([np.einsum("bx,bxy->by", m, R),
+                               dQ.reshape(B, k * d)], axis=1)
+
+    def postproc(t, Y):
+        Y[:, :d] = measure_post(t, Y[:, :d])
+        Q = Y[:, d:].reshape(B, k, d)
+        Q -= Q.mean(axis=-1, keepdims=True)
+        return Y
+
+    Y0 = np.concatenate([mus, Q0.reshape(B, k * d)], axis=1)
+    out = rk_segments(f, Y0, times, DEFAULT_STEP, postproc)
+    return out[:, :, :d], out[:, :, d:].reshape(B, len(times), k, d)
+
+
+def _sine_source(t):
+    return np.sin(3.0 * t) * np.array([0.4, -0.4])
+
+
+@pytest.mark.parametrize("source", [None, _sine_source], ids=["free", "source"])
+def test_propagators_match_co_integrated_tangents(source):
+    # the barycentre of example_non_erg is an unstable rest point, so its
+    # tangents grow like e^{2t}; the error is relative to each time's size
+    model = example_non_erg()
+    mus = np.array([[0.5, 0.5], [0.3, 0.7], [0.8, 0.2]])
+    Q0 = np.eye(2) - mus[:, None, :]
+    times = make_grid(5.0, 0.25)
+    ref_states, ref = _co_integrated(model, mus, times, Q0, source)
+    states, tangents = solve_flow(model, mus, times, Q0=Q0, source=source)
+    assert np.array_equal(states, ref_states)
+    scale = np.abs(ref).max(axis=(2, 3), keepdims=True)
+    assert (np.abs(tangents - ref) / scale).max() < 1e-12
+
+
+@pytest.mark.parametrize("model", [example_non_erg(), example_chaos()],
+                         ids=lambda m: m.name)
+def test_rows_do_not_depend_on_how_blocks_split_an_interval(model):
+    # MARGIN_ROWS // 12 rows make blocks of one substep each, while one row
+    # alone steps a whole interval in one block: each row's states and
+    # tangents are bitwise those of its own solve, with a source too
+    d = model.d
+    B = MARGIN_ROWS // 12
+    mus = 0.9 / d + 0.1 * random_measures(5, B, d)      # chaos stays valid
+    frames = np.eye(d) - mus[:, None, :]
+    times = [0.0, 0.1, 0.16]
+
+    def source(t):
+        return np.cos(t) * (np.eye(d) - 1.0 / d)
+
+    states, tangents = solve_flow(model, mus, times, Q0=frames, source=source)
+    for i in range(0, B, 7):
+        alone = solve_flow(model, mus[i:i + 1], times, Q0=frames[i:i + 1],
+                           source=source)
+        assert np.array_equal(states[i], alone[0][0]), i
+        assert np.array_equal(tangents[i], alone[1][0]), i
 
 
 def test_solve_flow_rejects_bad_grids():

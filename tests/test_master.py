@@ -141,8 +141,11 @@ def test_master_scan_steps_only_to_each_stencil():
     # phase 1 records at {0} and each t - dt: 0.2, 0.3 and 0.5 long intervals
     # at the default step 0.02 are 10 + 15 + 25 substeps; phase 2 is 4 steps
     # of dt/2.  Each step is 12 stages of one rates call, plus one call for
-    # the drift at the initial measures.  No row steps through another
-    # case's stencil.
+    # the drift at the initial measures.  The tangent frames add one
+    # rates_and_margin call per block of substeps: 3 cases make blocks of up
+    # to MARGIN_ROWS // 36 = 28 substeps, one per interval, so 3 blocks in
+    # phase 1 and 4 in phase 2.  No row steps through another case's
+    # stencil.
     base = weak_interaction()
     calls = []
 
@@ -154,7 +157,7 @@ def test_master_scan_steps_only_to_each_stencil():
     dt = DT_STENCIL
     cases = [(t + dt, np.array([0.3, 0.7])) for t in (0.2, 0.5, 1.0)]
     res = master_residual_scan(obs, cases)
-    assert len(calls) == 12 * (10 + 15 + 25 + 4) + 1
+    assert len(calls) == 12 * (10 + 15 + 25 + 4) + 1 + 3 + 4
     assert np.abs(res).max() < 1e-10
 
 
