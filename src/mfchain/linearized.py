@@ -203,23 +203,6 @@ class ErgodicityReport:
     certification: str = ""
     notes: str = ""
 
-    def to_json_dict(self) -> dict:
-        ec = {
-            k: (None if self.estimated_constants.get(k) is None
-                else float(self.estimated_constants[k]))
-            for k in ("L", "K", "lambda", "c2")
-        }
-        return {
-            "condition": self.condition,
-            "verdict": self.verdict,
-            "margin": float(self.margin),
-            "witness": self.witness,
-            "resolution": self.resolution,
-            "estimated_constants": ec,
-            "certification": self.certification,
-            "notes": self.notes,
-        }
-
 
 def check_condition1(
     model: Model, n_pairs: int = 10_000, seed: int = 0
@@ -252,21 +235,20 @@ def check_condition1(
     )
 
 
-def default_resolution(d: int) -> int:
-    return 50 if d <= 3 else 15
-
-
 def check_condition2(
     model: Model, resolution: Optional[int] = None
 ) -> ErgodicityReport:
     """Positivity of the linearization's off-diagonal entries on a lattice.
 
-    Scans the simplex lattice in lexicographic order and keeps the first
-    strictly-smallest margin as witness.  verdict: "pass" (grid-certified)
-    when the minimum is > 0, "fail" when < 0, "inconclusive" at exactly 0.
+    Scans the simplex lattice (resolution 50 for d <= 3, else 15, unless
+    given) in lexicographic order and keeps the first strictly-smallest
+    margin as witness.  verdict: "pass" (grid-certified) when the minimum is
+    > 0, "fail" when < 0, "inconclusive" at exactly 0.  The check has no
+    constants of its own, and it bounds nothing between lattice points: the
+    notes name the lattice minimum and the number of points it is over.
     """
     d = model.d
-    res = default_resolution(d) if resolution is None else int(resolution)
+    res = (50 if d <= 3 else 15) if resolution is None else int(resolution)
     lattice = simplex_lattice(d, res)
     inside = model.valid_region.contains(lattice)
     lattice = lattice[inside]
@@ -292,24 +274,6 @@ def check_condition2(
     else:
         verdict = "inconclusive"
 
-    # crude continuity slack: worst margin change between lattice neighbours
-    key = {tuple(np.round(mu * res).astype(int)): i for i, mu in enumerate(lattice)}
-    mod = 0.0
-    for cnt, i in key.items():
-        for a in range(d):
-            arr = list(cnt)
-            if arr[a] == 0:
-                continue
-            arr[a] -= 1
-            arr[(a + 1) % d] += 1
-            j = key.get(tuple(arr))
-            if j is not None:
-                diff = float(np.max(np.abs(offs_all[i] - offs_all[j])))
-                mod = max(mod, diff * res / 2.0)        # per unit L1 distance
-    notes = (
-        f"lattice minimum over {len(lattice)} points;"
-        f" sampled margin modulus ~ {mod:.4g} per unit L1 step"
-    )
     return ErgodicityReport(
         condition=2,
         verdict=verdict,
@@ -322,5 +286,5 @@ def check_condition2(
         resolution=res,
         estimated_constants={},
         certification="grid-certified" if verdict == "pass" else "grid-scan",
-        notes=notes,
+        notes=f"lattice minimum over {len(lattice)} points",
     )

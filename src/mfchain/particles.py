@@ -115,11 +115,12 @@ def gillespie_batch(
     """Lockstep direct-method simulation of many replications.
 
     counts0: (R, d) initial occupancy counts (constant total N per row).
+    Each call runs one of two modes, and refuses both at once:
     times:   recording grid (checked by kolmogorov.as_grid); states are
              right-continuous, so grid time g gets the pre-jump counts of
              the first jump strictly after g.
-    phi:     if given, accumulate the exact time average of phi(mu^N) over
-             [burn, end] (piecewise-constant between jumps, no grid bias).
+    phi:     accumulate the exact time average of phi(mu^N) over [burn, end]
+             (piecewise-constant between jumps, no grid bias).
 
     Returns {"counts": (R, T, d) int32 or None, "phi_avg": (R,) or None,
     "events": (R,) int64 event counts within the horizon}.
@@ -134,16 +135,17 @@ def gillespie_batch(
         raise InputError("all replications must have the same particle count")
     if N < 1:
         raise InputError(f"need N >= 1 particles, got {N}")
+    if times is not None and phi is not None:
+        raise InputError("record on a grid or average phi, not both in one call")
     if times is None and (phi is None or end is None):
         raise InputError("need a recording grid, or phi with an end time")
-    if times is not None:
+    if phi is None:
         times = as_grid(times)
-    horizon = float(times[-1]) if times is not None else float(end)
-    if phi is not None:
-        end = horizon if end is None else float(end)
+        horizon = float(times[-1])
+    else:
+        horizon = end = float(end)                 # rows run until then
         if not 0.0 <= burn < end:
             raise InputError("need 0 <= burn < end")
-    stop = horizon if phi is None else max(horizon, end)  # rows run until then
 
     reps_arr = np.atleast_1d(np.asarray(reps, dtype=np.uint64))
     if len(reps_arr) != R:
@@ -207,9 +209,9 @@ def gillespie_batch(
         A = model.rates(mu)
         running = list(accumulate(counts[:, x] * A[:, x, y] for x, y in pairs))
         lam = running[-1]
-        if not steps and float(lam.max()) * stop > MAX_EVENTS:
-            raise InputError(f"expected about {float(lam.max()) * stop:.3g}"
-                             f" events in a replication up to t={stop:.6g},"
+        if not steps and float(lam.max()) * horizon > MAX_EVENTS:
+            raise InputError(f"expected about {float(lam.max()) * horizon:.3g}"
+                             f" events in a replication up to t={horizon:.6g},"
                              f" more than MAX_EVENTS = {MAX_EVENTS}")
 
         # a dead row (no outgoing rate) never jumps: its next event is at
@@ -246,9 +248,7 @@ def gillespie_batch(
         if steps > MAX_EVENTS and ev.max() > MAX_EVENTS:
             raise SolverError(f"a replication exceeded {MAX_EVENTS} events")
 
-        done = ptr >= T if grid is not None else None
-        if acc is not None:
-            done = t_new >= end if done is None else done & (t_new >= end)
+        done = ptr >= T if grid is not None else t_new >= end
         if done.any():
             retire(done)
 
@@ -324,33 +324,29 @@ def run_chunks(worker: Callable[[int, int], object], R: int, threads: int = 1,
         _WORKER = None
 
 
-def mc_moments(values: Callable[[int, int], tuple], R: int,
-               threads: int = 1) -> list:
-    """Monte Carlo means and standard errors over replications [0, R).
+def mc_moments(values: Callable[[int, int], np.ndarray], R: int,
+               threads: int = 1) -> tuple:
+    """Monte Carlo mean and standard error over replications [0, R).
 
-    values(lo, hi) returns a tuple of arrays whose leading axis runs over
+    values(lo, hi) returns an array whose leading axis runs over
     replications lo..hi-1.  Each chunk's sums of x and x^2 over that axis
     are added in chunk order (see run_chunks), so the result is
-    bit-identical for any worker count.  Returns one (mean, stderr) pair
-    per array, each shaped like one replication's value.
-
-    The arrays are summed one by one on purpose: summing them stacked as
-    one (r, k, T) array can differ in the last bits (seen at T = 1).
+    bit-identical for any worker count.  Returns (mean, stderr), each
+    shaped like one replication's value.
     """
     if R < 1:
         raise InputError(f"need at least one replication, got R = {R}")
 
     def sums(lo, hi):
-        return [(x.sum(axis=0), (x * x).sum(axis=0)) for x in values(lo, hi)]
+        x = values(lo, hi)
+        return x.sum(axis=0), (x * x).sum(axis=0)
 
-    out = []
-    for per_chunk in zip(*run_chunks(sums, R, threads)):
-        s1 = sum(s for s, _ in per_chunk)
-        s2 = sum(q for _, q in per_chunk)
-        mean = s1 / R
-        var = np.maximum(s2 - R * mean * mean, 0.0) / max(R - 1, 1)
-        out.append((mean, np.sqrt(var / R)))
-    return out
+    per_chunk = run_chunks(sums, R, threads)
+    s1 = sum(s for s, _ in per_chunk)
+    s2 = sum(q for _, q in per_chunk)
+    mean = s1 / R
+    var = np.maximum(s2 - R * mean * mean, 0.0) / max(R - 1, 1)
+    return mean, np.sqrt(var / R)
 
 
 def mc_observable(
@@ -370,9 +366,9 @@ def mc_observable(
         reps = np.arange(lo, hi, dtype=np.uint64)
         counts0 = sample_initial(mu0, N, seed, reps)
         res = gillespie_batch(model, counts0, seed, reps, times=times)
-        return (phi(res["counts"] / N),)                    # (r, T)
+        return phi(res["counts"] / N)                       # (r, T)
 
-    [(mean, stderr)] = mc_moments(values, R, threads)
+    mean, stderr = mc_moments(values, R, threads)
     return MCEstimate(
         times=times,
         mean=mean,

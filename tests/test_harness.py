@@ -29,7 +29,8 @@ from mfchain.harness import (
     write_csv,
     write_json,
 )
-from mfchain.kolmogorov import stationary_distribution
+from mfchain.kolmogorov import make_grid, solve_flow, stationary_distribution
+from mfchain.particles import sample_initial
 
 
 def test_parse_config_text():
@@ -436,6 +437,22 @@ def test_cli_certify_three_regimes(tmp_path):
     assert rep_w["decay"]["lambda"] == pytest.approx(2.0, abs=0.05)
 
 
+def test_certify_records_each_constant_once(tmp_path):
+    # condition 1 keeps its own K and L, condition 2 has no constants, and
+    # lambda and c2 are recorded under decay only
+    out = tmp_path / "w"
+    assert main(["certify", "--model.name=weak_interaction",
+                 "--decay.horizon=6", "--out", str(out)]) == 0
+    rep = json.load(open(out / "report.json"))
+    assert rep["condition1"]["estimated_constants"] == {"K": 0.25, "L": 1.0}
+    assert rep["condition2"]["estimated_constants"] == {}
+    assert "modulus" not in rep["condition2"]["notes"]
+    assert rep["decay"]["lambda"] == pytest.approx(2.0, abs=0.05)
+    assert rep["decay"]["c2"] > 0
+    text = json.dumps({k: rep[k] for k in ("condition1", "condition2")})
+    assert '"lambda"' not in text and '"c2"' not in text
+
+
 def test_cli_master_check(tmp_path):
     base = ["master-check", "--model.name=weak_interaction",
             "--observable.target=0.5,0.5", "--master.cases=10"]
@@ -576,6 +593,31 @@ def test_weak_error_thread_and_rerun_identity(tmp_path):
     assert main(["simulate"] + base[1:] + ["--run.N=8", "--out", out_sim]) == 0
     b_sim = open(os.path.join(out_sim, "mc.csv"), "rb").read()
     assert b_sim == open(os.path.join(out1, "mc_N8.csv"), "rb").read()
+
+
+def test_weak_error_T2_is_the_mean_flow_from_the_starts(tmp_path):
+    # T2 = E[U(t, mu^N_0)] - U(t, mu0), the flow observable averaged over
+    # the R sampled starts: recomputed here from the starts themselves
+    R, seed, Ns = 300, 4, (8, 16)
+    cfg = {"model.name": "weak_interaction", "observable.target": "0.5,0.5",
+           "init.mu": "0.9,0.1", "run.horizon": "3", "run.spacing": "0.5",
+           "run.R": str(R), "run.Ns": "8,16", "decay.horizon": "5"}
+    out = tmp_path / "we"
+    assert main(["weak-error", *[f"--{k}={v}" for k, v in cfg.items()],
+                 "--seed", str(seed), "--out", str(out)]) in (0, 2)
+    rep = json.load(open(out / "report.json"))
+    model = model_from_config(cfg)
+    phi = observable_from_config(cfg, model)
+    mu0 = initial_measure(cfg, model)
+    times = make_grid(3.0, 0.5)
+    u_mu0 = phi(solve_flow(model, mu0[None, :], times)[0][0])
+    for N, rec in zip(Ns, rep["per_N"]):
+        counts0 = sample_initial(mu0, N, seed, np.arange(R))
+        uniq, inv = np.unique(counts0, axis=0, return_inverse=True)
+        U = phi(solve_flow(model, uniq / N, times)[0])       # (uq, T)
+        expected = U[inv].mean(axis=0) - u_mu0
+        assert rec["N"] == N
+        assert np.abs(np.array(rec["T2_curve"]) - expected).max() <= 1e-15
 
 
 def test_stationary_gap_constant_chain(tmp_path):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -247,14 +248,19 @@ def test_condition2_slow_conv_inconclusive():
 
 
 def test_report_json_schema():
-    rep = check_condition2(weak_interaction())
-    d = rep.to_json_dict()
-    assert set(d) == {
+    # a report serialises as its own fields; each condition records only
+    # the constants it uses
+    keys = {
         "condition", "verdict", "margin", "witness", "resolution",
         "estimated_constants", "certification", "notes",
     }
-    assert set(d["estimated_constants"]) == {"L", "K", "lambda", "c2"}
-    assert set(d["witness"]) == {"mu", "x", "y"}
+    d1 = asdict(check_condition1(weak_interaction()))
+    d2 = asdict(check_condition2(weak_interaction()))
+    assert set(d1) == keys and set(d2) == keys
+    assert set(d1["estimated_constants"]) == {"K", "L"}
+    assert d2["estimated_constants"] == {}
+    assert set(d2["witness"]) == {"mu", "x", "y"}
+    assert d2["notes"] == "lattice minimum over 51 points"
 
 
 def test_weak_interaction_remainder_is_float_noise():

@@ -158,21 +158,21 @@ def test_run_chunks_raises_the_first_chunk_error():
 
 
 def test_mc_moments_chunked_matches_direct():
-    # 12001 replications span three chunks; each array keeps its own shape
+    # 12001 replications span three chunks; the result keeps the shape of
+    # one replication's value
     gen = np.random.default_rng(3)
     x, y = gen.normal(size=(12001, 4)), gen.exponential(size=12001)
+    for v, shape in ((x, (4,)), (y, ())):
+        def values(lo, hi, v=v):
+            return v[lo:hi]
 
-    def values(lo, hi):
-        return x[lo:hi], y[lo:hi]
-
-    one = mc_moments(values, 12001, threads=1)
-    two = mc_moments(values, 12001, threads=2)
-    for (m1, s1), (m2, s2), v in zip(one, two, (x, y)):
+        m1, s1 = mc_moments(values, 12001, threads=1)
+        m2, s2 = mc_moments(values, 12001, threads=2)
         assert np.array_equal(m1, m2) and np.array_equal(s1, s2)
         assert np.allclose(m1, v.mean(axis=0), rtol=0, atol=1e-14)
         assert np.allclose(s1, v.std(axis=0, ddof=1) / np.sqrt(12001),
                            rtol=1e-10, atol=0)
-    assert np.shape(one[0][0]) == (4,) and np.shape(one[1][0]) == ()
+        assert np.shape(m1) == shape and np.shape(s1) == shape
     with pytest.raises(ValueError, match="replication"):
         mc_moments(values, 0)
 
@@ -204,13 +204,14 @@ def test_grid_refinement_consistency():
 
 
 def test_zero_model_freezes():
-    res = gillespie_batch(
-        zero(2), np.array([[3, 7], [5, 5]]), seed=1, reps=np.arange(2),
-        times=np.array([0.0, 1.0, 5.0]),
-        phi=lambda m: m[..., 0], end=5.0,
-    )
+    counts0 = np.array([[3, 7], [5, 5]])
+    res = gillespie_batch(zero(2), counts0, seed=1, reps=np.arange(2),
+                          times=np.array([0.0, 1.0, 5.0]))
     assert np.array_equal(res["counts"][0], [[3, 7]] * 3)
     assert np.array_equal(res["counts"][1], [[5, 5]] * 3)
+    assert np.array_equal(res["events"], [0, 0])
+    res = gillespie_batch(zero(2), counts0, seed=1, reps=np.arange(2),
+                          phi=lambda m: m[..., 0], end=5.0)
     assert np.array_equal(res["events"], [0, 0])
     assert np.allclose(res["phi_avg"], [0.3, 0.5])
 
@@ -271,12 +272,15 @@ def test_input_validation():
     with pytest.raises(ValueError, match="burn"):
         gillespie_batch(zero(2), np.array([[3, 7]]), 0, np.arange(1),
                         phi=lambda m: m[..., 0], burn=2.0, end=1.0)
-    # about N * 1e12 = 1e14 expected events, to the grid's end or to end
-    for kw in ({"times": np.array([0.0, 1e12])},
-               {"phi": lambda m: m[..., 0], "end": 1e12},
-               {"times": np.array([0.0, 1.0]), "phi": lambda m: m[..., 0],
-                "end": 1e12}):
-        with pytest.raises(InputError, match="1e\\+14 events"):
+    # about N * 1e12 = 1e14 expected events, to the grid's end or to end;
+    # a grid and phi in one call are refused before any event
+    for kw, match in (
+        ({"times": np.array([0.0, 1e12])}, "1e\\+14 events"),
+        ({"phi": lambda m: m[..., 0], "end": 1e12}, "1e\\+14 events"),
+        ({"times": np.array([0.0, 1.0]), "phi": lambda m: m[..., 0],
+          "end": 1e12}, "not both"),
+    ):
+        with pytest.raises(InputError, match=match):
             gillespie_batch(constant(SYM2), np.array([[50, 50]]), 0,
                             np.arange(1), **kw)
     # the flow solver's grid check: an empty grid used to be a raw IndexError,
