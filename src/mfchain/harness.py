@@ -113,11 +113,14 @@ def cfg_ints(cfg: dict, key: str, default: str) -> list:
 
 
 def cfg_vector(cfg: dict, key: str, model: Model) -> np.ndarray:
-    """The key's comma list of floats, one entry per model state."""
+    """The key's comma list of finite floats, one entry per model state."""
     v = np.array(_parsed(cfg, key, "", _list(float)))
     if len(v) != model.d:
         raise InputError(f"config key {key}: {len(v)} entries, but model"
                          f" {model.name!r} has d = {model.d}")
+    if not np.all(np.isfinite(v)):
+        raise InputError(f"config key {key}: entries must be finite,"
+                         f" got {cfg[key]!r}")
     return v
 
 

@@ -10,7 +10,9 @@ fixed step (default 0.02, shortened per recording interval so grid points
 are hit exactly).  The step does not depend on the state, so every row of a
 batch is integrated on its own and an affine flow is mapped affinely.  Tiny
 negative components caused by roundoff are clipped and renormalized under a
-strict cumulative budget; anything larger aborts the run.
+strict cumulative budget; anything larger aborts the run.  Every flow, with
+or without tangent rows, and the stationary search's march run one substep
+loop (_march, driven only by _flow), capped at MAX_SUBSTEPS substeps.
 
 Tangent rows of the linearized equation q' = q A(m(t)) + r(t) (see
 linearized) are not stepped beside the measure.  The measure flow runs as it
@@ -40,6 +42,7 @@ from .simplex import as_measure, as_tangent, barycenter
 DEFAULT_STEP = 0.02
 CLIP_FLOOR = -1e-10       # single-component clip tolerance
 CLIP_BUDGET = 1e-8        # cumulative clipped mass per trajectory
+MAX_SUBSTEPS = 10**8      # substeps one march may take in all
 
 
 def make_grid(horizon: float, spacing: float) -> np.ndarray:
@@ -141,58 +144,40 @@ def _rk_step(f, y, h: float, K: np.ndarray) -> np.ndarray:
     return y + h * (b * K[idx]).sum(axis=0)
 
 
-def _march(f, y, times, step: float, postproc=None, block=None):
-    """Step the (B, n) rows y across the grid; yields (j, ts, h, y).
+def _march(f, y, times, step: float, postproc, block: int):
+    """Step the (B, n) rows y across the grid; yields (ts, h, y, end).
 
-    Each recording interval j is cut into equal substeps of length h <= step
-    so grid times are exact.  A yield follows every run of at most `block`
-    substeps (all of the interval's when block is None), which started at
-    the times ts, with y the state after them; a zero-length interval yields
-    once, with no substeps and y unchanged.  Times, nodes and step lengths
-    are Python floats (IEEE doubles, like numpy's float64, but cheaper to
-    combine than numpy scalars).
+    Each recording interval is cut into equal substeps of length h <= step
+    so grid times are exact; postproc(t, y) follows each.  A yield follows
+    every run of at most `block` substeps, started at the times ts, with y
+    the state after them; `end` marks an interval's last yield, and a
+    zero-length interval yields once, with no substeps.  A bad step, or one
+    that needs more than MAX_SUBSTEPS substeps in all, is refused before the
+    first step.  Times, nodes and step lengths are Python floats (IEEE
+    doubles, like numpy's float64, but cheaper to combine than numpy scalars).
     """
-    times = [float(t) for t in times]
     step = float(step)
+    if not 0 < step < math.inf:
+        raise InputError(f"need a finite step > 0, got {step}")
+    times = [float(t) for t in times]
+    # substeps per interval, none in a zero-length one; the cap keeps the
+    # count finite when span / step overflows
+    nsubs = [0 if t1 == t0 else
+             max(1, math.ceil(min((t1 - t0) / step, MAX_SUBSTEPS + 1) - 1e-12))
+             for t0, t1 in zip(times, times[1:])]
+    if sum(nsubs) > MAX_SUBSTEPS:
+        raise InputError(f"step {step:g} needs more than {MAX_SUBSTEPS:,}"
+                         f" substeps to reach t = {times[-1]:g}; take a"
+                         f" larger step")
     K = np.empty((len(_C),) + y.shape)             # the stage derivatives
-    for j in range(len(times) - 1):
-        t0, span = times[j], times[j + 1] - times[j]
-        if span == 0:
-            yield j, [], 0.0, y
-            continue
-        nsub = max(1, math.ceil(span / step - 1e-12))
-        h = span / nsub
-        per = nsub if block is None else block
-        for i0 in range(0, nsub, per):
-            ts = [t0 + i * h for i in range(i0, min(i0 + per, nsub))]
+    for j, nsub in enumerate(nsubs):
+        t0, h = times[j], (times[j + 1] - times[j]) / max(nsub, 1)
+        for i0 in range(0, max(nsub, 1), block):
+            ts = [t0 + i * h for i in range(i0, min(i0 + block, nsub))]
             for t in ts:
                 y = _rk_step(lambda s, ys: f(t + _C[s] * h, ys), y, h, K)
-                if postproc is not None:
-                    y = postproc(t + h, y)
-            yield j, ts, h, y
-
-
-def rk_segments(
-    f: Callable[[float, np.ndarray], np.ndarray],
-    y0: np.ndarray,
-    times: np.ndarray,
-    step: float,
-    postproc: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
-) -> np.ndarray:
-    """Batched fixed-step DOP853 recording at every grid time.
-
-    y0: (B, n) flat state rows; returns (B, T, n).  Each recording interval
-    is cut into equal substeps of length <= step so grid times are exact.
-    A zero-length interval records its start state unchanged.
-    """
-    y = np.array(y0, dtype=float)
-    if y.ndim != 2:
-        raise InputError("rk_segments expects a (B, n) state block")
-    out = np.empty((y.shape[0], len(times), y.shape[1]))
-    out[:, 0] = y
-    for j, _, _, y in _march(f, y, times, step, postproc):
-        out[:, j + 1] = y
-    return out
+                y = postproc(t + h, y)
+            yield ts, h, y, i0 + block >= nsub
 
 
 def _step_propagators(model: Model, S, ts, h: float, source, k: int):
@@ -269,6 +254,50 @@ def _make_measure_postproc(model: Model):
     return postproc
 
 
+def _flow(model: Model, mu0s, times, step: float, Q0, source):
+    """solve_flow on checked inputs, one grid time at a time: yields (states
+    (B, d), tangents (B, k, d)), first (mu0s, Q0).  The march starts when
+    the second time is asked for, so a caller may stop it at any time."""
+    B, k, d = Q0.shape
+    post = _make_measure_postproc(model)
+
+    def drift(t, m):
+        return np.einsum("bx,bxy->by", m, model.rates(m))
+
+    # the measure flow is the same march with or without tangent rows; with
+    # them it keeps each block's stage measures, and the rows then advance
+    # one step propagator at a time.  Without them a block is a whole
+    # interval and nothing is recorded.
+    nst = len(_C)
+    per = max(1, MARGIN_ROWS // (nst * B)) if k else MAX_SUBSTEPS
+    S = np.empty((nst, per, B, d)) if k else None
+    recorded = 0                                   # stages of the block so far
+
+    def record(t, m):
+        nonlocal recorded
+        S[recorded % nst, recorded // nst] = m    # stage, substep of the block
+        recorded += 1
+        return drift(t, m)
+
+    Q = Q0
+    yield mu0s, Q
+    for ts, h, y, end in _march(record if k else drift, mu0s, times, step,
+                                post, per):
+        if k and ts:
+            M, e = _step_propagators(model, S[:, :len(ts)], ts, h, source, k)
+            for i in range(len(ts)):
+                Q = Q @ M[i]
+                if e is not None:
+                    Q += e[i]
+                # tangent rows stay zero-sum under the exact dynamics (the
+                # linearization matrix has zero row sums); re-project so
+                # roundoff cannot accumulate in that invariant direction
+                Q -= Q.mean(axis=-1, keepdims=True)
+            recorded = 0
+        if end:
+            yield y, Q
+
+
 def solve_flow(
     model: Model,
     mu0s,
@@ -294,8 +323,6 @@ def solve_flow(
     rows onto zero sum.
     """
     times = as_grid(times)
-    if not 0 < step < np.inf:
-        raise InputError(f"need a finite step > 0, got {step}")
     mu0s = np.asarray(mu0s, dtype=float)
     if mu0s.ndim != 2 or len(mu0s) == 0 or mu0s.shape[1] != model.d:
         raise InputError(f"initial measures must be a (B, {model.d}) array"
@@ -310,47 +337,11 @@ def solve_flow(
             raise InputError(f"tangent rows Q0 must be a (B, k, d) = ({B}, k,"
                              f" {d}) array, got shape {Q0.shape}")
         as_tangent(Q0)
-    k = Q0.shape[1]
     model.require_valid(mu0s)
-    measure_post = _make_measure_postproc(model)
-
-    def drift(t, m):
-        return np.einsum("bx,bxy->by", m, model.rates(m))
-
-    if k == 0:
-        states = rk_segments(drift, mu0s, times, step, measure_post)
-        return states, np.zeros((B, len(times), 0, d))
-
-    # the measure flow is the k = 0 march, keeping each block's stage
-    # measures; the tangent rows then advance one step propagator at a time
-    nst = len(_C)
-    per = max(1, MARGIN_ROWS // (nst * B))        # substeps per block
-    S = np.empty((nst, per, B, d))
-    recorded = 0                                   # stages of the block so far
-
-    def record(t, m):
-        nonlocal recorded
-        S[recorded % nst, recorded // nst] = m    # stage, substep of the block
-        recorded += 1
-        return drift(t, m)
-
     states = np.empty((B, len(times), d))
-    tangents = np.empty((B, len(times), k, d))
-    states[:, 0], tangents[:, 0] = mu0s, Q0
-    Q = Q0
-    for j, ts, h, y in _march(record, mu0s, times, step, measure_post, per):
-        if ts:
-            M, e = _step_propagators(model, S[:, :len(ts)], ts, h, source, k)
-            for i in range(len(ts)):
-                Q = Q @ M[i]
-                if e is not None:
-                    Q += e[i]
-                # tangent rows stay zero-sum under the exact dynamics (the
-                # linearization matrix has zero row sums); re-project so
-                # roundoff cannot accumulate in that invariant direction
-                Q -= Q.mean(axis=-1, keepdims=True)
-            recorded = 0
-        states[:, j + 1], tangents[:, j + 1] = y, Q
+    tangents = np.empty((B, len(times), Q0.shape[1], d))
+    for j, (y, Q) in enumerate(_flow(model, mu0s, times, step, Q0, source)):
+        states[:, j], tangents[:, j] = y, Q
     return states, tangents
 
 
@@ -384,8 +375,9 @@ def stationary_distribution(
 ):
     """Find nu with |nu @ alpha(nu)|_1 <= 10 * tol near the flow from mu0.
 
-    Phase 1 marches the flow in spans of one time unit until the drift norm
-    drops below max(1e-3, tol) or max_time is exhausted.  Phase 2 runs a
+    Phase 1 is one march of the flow over spans of one time unit (the last
+    may be shorter), stopped at the first span end where the drift norm is
+    at most max(1e-3, tol), or at max_time.  Phase 2 runs a
     damped Newton iteration on G(nu) = nu @ alpha(nu) restricted to the
     zero-sum subspace (the plain damped fixed-point update stalls when the
     linearization is neutral, e.g. at a cubic-degenerate rest point, while
@@ -400,21 +392,19 @@ def stationary_distribution(
     def resid(v):
         return float(np.abs(v @ model.rates(v)).sum())
 
-    info: dict = {"march_time": 0.0, "note": ""}
+    if not 0 <= max_time < np.inf:
+        raise InputError(f"need a finite max_time >= 0, got {max_time}")
     trigger = max(1e-3, tol)
-    t = 0.0
-    r = resid(nu)
-    while r > trigger and t < max_time:
-        span = min(1.0, max_time - t)
-        nu = solve_flow(model, nu[None, :], np.array([0.0, span]), step)[0][0, -1]
-        t += span
-        r = resid(nu)
-    info["march_time"] = t
-    info["march_residual"] = r
+    grid = np.append(np.arange(math.ceil(max_time)), max_time)
+    for t, (m, _) in zip(grid, _flow(model, nu[None, :], grid, step,
+                                     np.zeros((1, 0, model.d)), None)):
+        nu, r = m[0], resid(m[0])
+        if r <= trigger:
+            break
+    info: dict = {"march_time": float(t), "note": "", "march_residual": r}
     if r > trigger:
-        info["note"] = (
-            "march hit max_time before the residual trigger; polishing anyway"
-        )
+        info["note"] = ("march hit max_time before the residual trigger;"
+                        " polishing anyway")
 
     iters = 0
     while r > tol and iters < max_newton:

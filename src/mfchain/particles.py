@@ -140,6 +140,9 @@ def gillespie_batch(
     if times is None and (phi is None or end is None):
         raise InputError("need a recording grid, or phi with an end time")
     if phi is None:
+        if burn != 0.0 or end is not None:
+            raise InputError("burn and end bound phi's time average; a grid"
+                             " run takes neither")
         times = as_grid(times)
         horizon = float(times[-1])
     else:

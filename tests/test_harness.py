@@ -279,6 +279,11 @@ MALFORMED = [
     "solve --model.name=weak_interaction --run.horizon=1 --run.spacing=1e-17",
     # refused before the certification bundle runs
     "weak-error --model.name=weak_interaction --observable.target=0.5,0.5 --run.R=0",
+    # substep counts far beyond MAX_SUBSTEPS: an OverflowError traceback at
+    # 5e-324, and solves that ran until killed at 1e-9
+    "solve --model.name=weak_interaction --run.step=5e-324",
+    "solve --model.name=weak_interaction --run.step=1e-9",
+    "certify --model.name=weak_interaction --run.step=1e-9",
     # expected event counts far beyond MAX_EVENTS: these used to run until
     # killed
     "stationary-gap --model.name=constant --model.Q=-1,1;1,-1 --gap.window=1e300"
@@ -402,6 +407,20 @@ def test_cli_fuzz_stationary_gap(model, sizes, force, overrides):
     assert_exit_contract(["stationary-gap", *model]
                          + [f"--{k}={v}" for k, v in cfg.items()]
                          + (["--force"] if force else []))
+
+
+@pytest.mark.parametrize("setting, key", [
+    ("--observable.target=nan,1", "observable.target"),
+    ("--observable.name=linear --observable.coeffs=inf,1", "observable.coeffs"),
+])
+def test_vector_keys_refuse_non_finite_entries(setting, key, tmp_path, capfd):
+    # a NaN target used to give exit 0 with a conclusive verdict and slope NaN
+    assert main(["weak-error", "--model.name=weak_interaction",
+                 *setting.split(), "--run.Ns=4,8", "--run.R=50",
+                 "--run.horizon=1", "--out", str(tmp_path / "o")]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith(f"mfchain: error: config key {key}:")
+    assert err.count("\n") == 1
 
 
 def test_cli_certify_chaos_records_region_exit(tmp_path):

@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from mfchain import kolmogorov
 from mfchain.errors import DomainExitError, InputError, SolverError
 from mfchain.kolmogorov import (
     CLIP_BUDGET,
     DEFAULT_STEP,
+    MAX_SUBSTEPS,
     Trajectory,
     _A,
     _B,
     _C,
     _make_measure_postproc,
+    _march,
     flow_map,
     make_grid,
-    rk_segments,
     solve_flow,
     solve_kolmogorov,
     stationary_distribution,
@@ -68,7 +70,7 @@ def test_rk_is_eighth_order_on_affine_flow():
     exact = 0.5 + 0.4 * np.exp(-2.0 * 2.0)
 
     def err(h):
-        m = rk_segments(_drift_of(model), mu0, times, h)[0, -1, 0]
+        m = solve_flow(model, mu0, times, step=h)[0][0, -1, 0]
         return abs(m - exact)
 
     ratio = err(0.5) / err(0.25)
@@ -82,13 +84,6 @@ def test_rk_tableau_is_dop853():
     assert np.array_equal(_A, ref.A[:12, :12])
     assert np.array_equal(_B, ref.B)
     assert np.abs(_A.sum(axis=1) - _C).max() <= 1e-14
-
-
-def _drift_of(model):
-    def f(t, m):
-        return np.einsum("bx,bxy->by", m, model.rates(m))
-
-    return f
 
 
 @given(measure_strategy(2))
@@ -221,7 +216,8 @@ def _co_integrated(model, mus, times, Q0, source=None):
         return Y
 
     Y0 = np.concatenate([mus, Q0.reshape(B, k * d)], axis=1)
-    out = rk_segments(f, Y0, times, DEFAULT_STEP, postproc)
+    out = np.stack([Y0] + [Y for _, _, Y, end in _march(
+        f, Y0, times, DEFAULT_STEP, postproc, MAX_SUBSTEPS) if end], axis=1)
     return out[:, :, :d], out[:, :, d:].reshape(B, len(times), k, d)
 
 
@@ -297,6 +293,23 @@ def test_solve_flow_rejects_bad_measures_and_tangent_rows():
     Q0[0, 0] += 1e-6
     _, tangents = solve_flow(model, mu[None], [0.0, 0.5], Q0=Q0[None])
     assert np.abs(tangents[0, -1].sum(axis=-1)).max() < 1e-4
+
+
+def test_march_refuses_more_than_max_substeps_before_stepping():
+    # a 5e-324 step used to end in math.ceil's OverflowError, and a 1e-9
+    # step marched until killed; the count is over the whole grid
+    model, calls = _counting(weak_interaction())
+    mu = np.array([[0.9, 0.1]])
+    for times, step in (([0.0, 1.0], 5e-324), ([0.0, 1.0], 1e-9),
+                        ([0.0, 1.0, 2.0], 1.5 / MAX_SUBSTEPS)):
+        for Q0 in (None, np.eye(2) - mu[:, None, :]):
+            with pytest.raises(InputError, match="substeps to reach t = "):
+                solve_flow(model, mu, times, step, Q0=Q0)
+    with pytest.raises(InputError, match="substeps"):
+        stationary_distribution(model, mu[0], step=1e-9)
+    assert len(calls) == 1          # the stationary search's first residual
+    # a start that needs no march takes no step, whatever the step
+    assert stationary_distribution(zero(2), step=1e-9)[1]["march_time"] == 0.0
 
 
 def test_validate_grid():
@@ -398,6 +411,21 @@ def test_stationary_non_erg_basin():
     # from mu_1 = 0.2 the flow selects the stable rest point at 1/4
     nu, _ = stationary_distribution(example_non_erg(), np.array([0.2, 0.8]))
     assert np.abs(nu - [0.25, 0.75]).max() < 1e-9
+
+
+def test_stationary_march_is_one_pass(monkeypatch):
+    # phase 1 used to call solve_flow once per time unit, each call with a
+    # fresh clip budget; it is now one march over the grid 0, 1, 2, 3, 3.5,
+    # with the states of that span-by-span march bit for bit
+    model = example_slow_conv()
+    mu = [np.array([0.9, 0.1])]
+    for span in (1.0, 1.0, 1.0, 0.5):
+        mu.append(flow_map(model, span, mu[-1]))
+    monkeypatch.setattr(kolmogorov, "solve_flow", None)
+    _, info = stationary_distribution(model, mu[0], max_time=3.5)
+    assert info["march_time"] == 3.5
+    assert info["march_residual"] == np.abs(mu[-1] @ model.rates(mu[-1])).sum()
+    assert info["note"].startswith("march hit max_time")
 
 
 def test_stationary_zero_model():

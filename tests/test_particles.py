@@ -273,12 +273,16 @@ def test_input_validation():
         gillespie_batch(zero(2), np.array([[3, 7]]), 0, np.arange(1),
                         phi=lambda m: m[..., 0], burn=2.0, end=1.0)
     # about N * 1e12 = 1e14 expected events, to the grid's end or to end;
-    # a grid and phi in one call are refused before any event
+    # a grid and phi in one call, or a grid with burn and end, are refused
+    # before any event
     for kw, match in (
         ({"times": np.array([0.0, 1e12])}, "1e\\+14 events"),
         ({"phi": lambda m: m[..., 0], "end": 1e12}, "1e\\+14 events"),
         ({"times": np.array([0.0, 1.0]), "phi": lambda m: m[..., 0],
           "end": 1e12}, "not both"),
+        # burn and end used to be ignored in grid mode
+        ({"times": np.array([0.0, 1.0]), "burn": 7.0, "end": 0.5},
+         "a grid run takes neither"),
     ):
         with pytest.raises(InputError, match=match):
             gillespie_batch(constant(SYM2), np.array([[50, 50]]), 0,
