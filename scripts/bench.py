@@ -6,7 +6,7 @@ Each root is a checkout of this repository with harness.master_cases.  Every
 measurement runs in a fresh interpreter that imports mfchain from ROOT/src,
 in ROOT, and each round alternates which root goes first.  Measurements:
 
-  solve_slow_conv   solve_kolmogorov of example_slow_conv from (1, 0),
+  solve_slow_conv   solve_flow of example_slow_conv from (1, 0),
                     recorded every 0.25 over [0, 50] (no tangents);
   decay_<model>     estimate_decay at seed 0 of each model flow-certify
                     certifies: weak_interaction, example_slow_conv and
@@ -52,7 +52,7 @@ root, name = sys.argv[1], sys.argv[2]
 sys.path.insert(0, root + "/src")
 os.chdir(root)
 from mfchain import harness, models, particles
-from mfchain.kolmogorov import make_grid, solve_kolmogorov
+from mfchain.kolmogorov import make_grid, solve_flow
 from mfchain.linearized import estimate_decay
 from mfchain.master import PropagatedObservable, master_residual_scan
 
@@ -64,7 +64,7 @@ def digest(*blobs):
 
 def flow(model):
     if name == "solve_slow_conv":
-        return solve_kolmogorov(model, [1.0, 0.0], make_grid(50.0, 0.25)).states
+        return solve_flow(model, [[1.0, 0.0]], make_grid(50.0, 0.25))[0][0]
     if name == "master_scan":
         cfg = harness.load_config("configs/master_check.cfg")
         obs = PropagatedObservable(model, harness.observable_from_config(cfg, model),

@@ -33,7 +33,6 @@ from .models import (                                         # noqa: E402
     zero,
 )
 from .kolmogorov import (                                     # noqa: E402
-    Trajectory,
     flow_map,
     make_grid,
     solve_flow,
@@ -59,9 +58,8 @@ from .master import (                                         # noqa: E402
     tau_remainder,
 )
 from .particles import (                                      # noqa: E402
-    EmpiricalPath,
-    MCEstimate,
     gillespie_batch,
+    initial_counts,
     mc_observable,
     sample_initial,
     simulate,
@@ -75,13 +73,13 @@ __all__ = [
     "Model", "ValidRegion", "constant", "example_chaos", "example_non_erg",
     "example_slow_conv", "make_model", "register_model", "weak_interaction",
     "zero",
-    "Trajectory", "flow_map", "make_grid", "solve_flow", "solve_kolmogorov",
+    "flow_map", "make_grid", "solve_flow", "solve_kolmogorov",
     "stationary_distribution",
     "DecayEstimate", "ErgodicityReport", "check_condition1",
     "check_condition2", "dm_dmeasure", "estimate_decay", "m1",
     "margin_matrix", "nonlinear_contraction_rate",
     "PropagatedObservable", "dU_dmeasure_all", "eval_U",
     "master_residual_scan", "tau_remainder",
-    "EmpiricalPath", "MCEstimate", "gillespie_batch", "mc_observable",
-    "sample_initial", "simulate",
+    "gillespie_batch", "initial_counts", "mc_observable", "sample_initial",
+    "simulate",
 ]

@@ -37,8 +37,8 @@ from .kolmogorov import (
 from .linearized import check_condition1, check_condition2, estimate_decay
 from .master import PropagatedObservable, master_residual_scan
 from .models import Model, make_model
-from .particles import (gillespie_batch, mc_moments, mc_observable, run_chunks,
-                        sample_initial, simulate)
+from .particles import (gillespie_batch, initial_counts, mc_moments,
+                        mc_observable, sample_initial, simulate)
 from .simplex import ScalarField, as_measure, barycenter, make_observable
 
 EXIT_PASS = 0
@@ -110,6 +110,15 @@ def cfg_ints(cfg: dict, key: str, default: str) -> list:
     if not v:
         raise InputError(f"config key {key}: need at least one value")
     return v
+
+
+def cfg_replications(cfg: dict, key: str, default: int) -> int:
+    """The key's replication count: a standard error needs at least two."""
+    R = cfg_int(cfg, key, default)
+    if R < 2:
+        raise InputError(f"config key {key}: need at least 2 replications"
+                         f" for a standard error, got {R}")
+    return R
 
 
 def cfg_vector(cfg: dict, key: str, model: Model) -> np.ndarray:
@@ -310,6 +319,14 @@ def write_csv(path: str, header: list, rows) -> None:
             fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
+def write_mc_csv(path: str, times, mean, stderr, R: int, N: int,
+                 seed: int) -> None:
+    """The grid estimate of simulate and of each weak-error N."""
+    write_csv(path, ["t", "mean", "stderr", "R", "N", "seed"],
+              [(times[i], mean[i], stderr[i], R, N, seed)
+               for i in range(len(times))])
+
+
 def _ols_loglog(xs, ys):
     """Least squares of log(y) on log(x): slope, intercept, residual sd."""
     lx, ly = np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float))
@@ -323,20 +340,24 @@ def _ols_loglog(xs, ys):
 def mc_verdict(Ns, effects, halves, R: int) -> dict:
     """Log-log fit of the effects |effect_N| and the Monte Carlo verdict.
 
-    Conclusive when each half-width (1.96 stderr, from R replications) is
+    The fit is None when Ns hold fewer than two distinct sizes.  Conclusive
+    when each half-width (1.96 stderr, from R replications) is
     below half its effect; else R_needed would get there, or is None when an
     effect is exactly 0 or a half-width is not finite.
     """
     effects, halves = np.asarray(effects, float), np.asarray(halves, float)
-    slope, intercept, resid_sd = _ols_loglog(Ns, np.maximum(effects, 1e-300))
+    fit = None
+    if len(set(Ns)) >= 2:
+        slope, intercept, resid_sd = _ols_loglog(Ns, np.maximum(effects, 1e-300))
+        fit = {"slope": slope, "intercept": intercept,
+               "residual_sd": resid_sd, "n_points": len(Ns)}
     inconclusive = bool(np.any(halves > effects / 2.0))
     r_needed = None
     if inconclusive and np.all(effects > 0):
         need = np.ceil(R * float(np.max(2.0 * halves / effects)) ** 2)
         r_needed = int(need) if np.isfinite(need) else None
     return {
-        "fit": {"slope": slope, "intercept": intercept,
-                "residual_sd": resid_sd, "n_points": len(Ns)},
+        "fit": fit,
         "verdict": "inconclusive" if inconclusive else "conclusive",
         "R_needed": r_needed,
         "exit_code": EXIT_INCONCLUSIVE if inconclusive else EXIT_PASS,
@@ -367,14 +388,11 @@ def certification_bundle(model: Model, cfg: dict, seed: int) -> dict:
 def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
                    force: bool = False) -> dict:
     model = model_from_config(cfg)
+    R = cfg_replications(cfg, "run.R", 20_000)
     phi = observable_from_config(cfg, model)
     mu0 = initial_measure(cfg, model)
     times = run_grid(cfg)
-    R = cfg_int(cfg, "run.R", 20_000)
-    if R < 1:
-        raise InputError(f"need at least one replication, got R = {R}")
     Ns = cfg_ints(cfg, "run.Ns", "8,16,32,64,128,256")
-    T = len(times)
 
     bundle = certification_bundle(model, cfg, seed)
     if not bundle["certified"] and not force:
@@ -387,12 +405,9 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
     # initial configurations for every N, and the distinct ones among them
     counts_by_N, uniq_by_N, inv_by_N = {}, {}, {}
     for N in Ns:
-        counts0 = np.concatenate(run_chunks(
-            lambda a, b, N=N: sample_initial(mu0, N, seed,
-                                             np.arange(a, b, dtype=np.uint64)),
-            R), axis=0)
-        uniq, inv = np.unique(counts0, axis=0, return_inverse=True)
-        counts_by_N[N], uniq_by_N[N], inv_by_N[N] = counts0, uniq, inv
+        counts_by_N[N] = initial_counts(mu0, N, R, seed)
+        uniq_by_N[N], inv_by_N[N] = np.unique(counts_by_N[N], axis=0,
+                                              return_inverse=True)
 
     # one batched flow solve covers mu0 and every distinct empirical start
     starts = [mu0[None, :]]
@@ -411,14 +426,8 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
         U_table = phi(flows[lo : lo + len(uniq_by_N[N])])      # (uq, T)
         # E[U(t, mu^N_0)] over the R sampled starts, exactly
         u0 = np.bincount(inv_by_N[N], minlength=len(U_table)) @ U_table / R
-        counts0 = counts_by_N[N]
-
-        def values(a, b, N=N, counts0=counts0):
-            reps = np.arange(a, b, dtype=np.uint64)
-            res = gillespie_batch(model, counts0[a:b], seed, reps, times=times)
-            return phi(res["counts"] / N)                      # (r, T)
-
-        mean, stderr = mc_moments(values, R, threads)
+        mean, stderr = mc_observable(model, phi, counts_by_N[N], times, seed,
+                                     threads)
         # t1 = E[phi(mu^N_t)] - E[U(mu^N_0)], t2 = E[U(mu^N_0)] - U(mu0)
         t1 = mean - u0
         t2 = u0 - u_curve
@@ -428,11 +437,8 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
         sup_err = float(abs_err[j])
         half = float(1.96 * stderr[j])
 
-        write_csv(
-            os.path.join(out, f"mc_N{N}.csv"),
-            ["t", "mean", "stderr", "R", "N", "seed"],
-            [(times[i], mean[i], stderr[i], R, N, seed) for i in range(T)],
-        )
+        write_mc_csv(os.path.join(out, f"mc_N{N}.csv"), times, mean, stderr,
+                     R, N, seed)
         per_N.append({
             "N": N,
             "sup_error": sup_err,
@@ -503,6 +509,7 @@ def run_stationary_gap(cfg: dict, out: str, seed: int, threads: int = 1,
             raise InputError(f"config key gap.burn: need a finite value >= 0,"
                              f" got {burn}")
         _check_gap_end(burn, window)
+    R = cfg_replications(cfg, "gap.R", 400)
     nu, info = stationary_search(cfg, model)
     phi = observable_from_config(cfg, model, nu)
     decay = decay_probe(model, cfg, seed)
@@ -515,7 +522,6 @@ def run_stationary_gap(cfg: dict, out: str, seed: int, threads: int = 1,
     if burn is None:
         burn = 10.0 / lam if lam is not None and lam > 0 else 5.0
         _check_gap_end(burn, window)
-    R = cfg_int(cfg, "gap.R", 400)
     Ns = cfg_ints(cfg, "gap.Ns", "10,100,1000")
     phi_ref = float(phi(nu))
 
@@ -618,17 +624,16 @@ def run_solve(cfg: dict, out: str, seed: int, threads: int = 1,
     model = model_from_config(cfg)
     mu0 = initial_measure(cfg, model)
     times = run_grid(cfg)
-    traj = solve_kolmogorov(model, mu0, times, step=run_step(cfg))
+    states = solve_kolmogorov(model, mu0, times, step=run_step(cfg))
     write_csv(
         os.path.join(out, "trajectory.csv"),
         ["t"] + [f"m_{z + 1}" for z in range(model.d)],
-        [tuple([traj.times[i]] + list(traj.states[i]))
-         for i in range(len(traj.times))],
+        [tuple([times[i]] + list(states[i])) for i in range(len(times))],
     )
     return {
         "model": model.name,
-        "final_state": traj.states[-1],
-        "n_times": len(traj.times),
+        "final_state": states[-1],
+        "n_times": len(times),
         "exit_code": EXIT_PASS,
     }
 
@@ -641,23 +646,17 @@ def run_simulate(cfg: dict, out: str, seed: int, threads: int = 1,
     R = cfg_int(cfg, "run.R", 1)
     times = run_grid(cfg)
     if R == 1:
-        path = simulate(model, mu0, N, times, seed, rep=0)
+        counts, n_events = simulate(model, mu0, N, times, seed, rep=0)
         write_csv(
             os.path.join(out, "path.csv"),
             ["t"] + [f"count_{z + 1}" for z in range(model.d)],
-            [tuple([times[i]] + list(path.counts[i]))
-             for i in range(len(times))],
+            [tuple([times[i]] + list(counts[i])) for i in range(len(times))],
         )
-        return {"N": N, "R": 1, "n_events": path.n_events,
-                "exit_code": EXIT_PASS}
+        return {"N": N, "R": 1, "n_events": n_events, "exit_code": EXIT_PASS}
     phi = observable_from_config(cfg, model)
-    est = mc_observable(model, phi, mu0, N, times, R, seed, threads=threads)
-    write_csv(
-        os.path.join(out, "mc.csv"),
-        ["t", "mean", "stderr", "R", "N", "seed"],
-        [(times[i], est.mean[i], est.stderr[i], R, N, seed)
-         for i in range(len(times))],
-    )
+    mean, stderr = mc_observable(model, phi, initial_counts(mu0, N, R, seed),
+                                 times, seed, threads)
+    write_mc_csv(os.path.join(out, "mc.csv"), times, mean, stderr, R, N, seed)
     return {"N": N, "R": R, "phi": phi.name, "exit_code": EXIT_PASS}
 
 

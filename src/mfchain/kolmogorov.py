@@ -30,7 +30,6 @@ the cap, with the batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,6 +42,7 @@ DEFAULT_STEP = 0.02
 CLIP_FLOOR = -1e-10       # single-component clip tolerance
 CLIP_BUDGET = 1e-8        # cumulative clipped mass per trajectory
 MAX_SUBSTEPS = 10**8      # substeps one march may take in all
+MAX_NEWTON = 200          # Newton iterations of the stationary polish
 
 
 def make_grid(horizon: float, spacing: float) -> np.ndarray:
@@ -71,15 +71,6 @@ def as_grid(times) -> np.ndarray:
             " array of times >= 0"
         )
     return times
-
-
-@dataclass
-class Trajectory:
-    """Solution recorded on a grid: states[j] is the measure at times[j]."""
-
-    times: np.ndarray
-    states: np.ndarray
-    model_name: str = ""
 
 
 # DOP853 (Prince & Dormand 1981, J. Comput. Appl. Math. 7:67-75): nodes,
@@ -347,12 +338,9 @@ def solve_flow(
 
 def solve_kolmogorov(
     model: Model, mu0, times, step: float = DEFAULT_STEP
-) -> Trajectory:
-    """Solve the nonlinear forward equation, recording on `times`."""
-    times = np.asarray(times, dtype=float)
-    mu0 = as_measure(mu0)
-    states = solve_flow(model, mu0[None, :], times, step)[0][0]
-    return Trajectory(times=times, states=states, model_name=model.name)
+) -> np.ndarray:
+    """Solve the nonlinear forward equation: the (T, d) measures on `times`."""
+    return solve_flow(model, as_measure(mu0)[None, :], times, step)[0][0]
 
 
 def flow_map(model: Model, t: float, mu0, step: float = DEFAULT_STEP) -> np.ndarray:
@@ -371,7 +359,6 @@ def stationary_distribution(
     tol: float = 1e-10,
     step: float = DEFAULT_STEP,
     max_time: float = 200.0,
-    max_newton: int = 200,
 ):
     """Find nu with |nu @ alpha(nu)|_1 <= 10 * tol near the flow from mu0.
 
@@ -407,7 +394,7 @@ def stationary_distribution(
                         " polishing anyway")
 
     iters = 0
-    while r > tol and iters < max_newton:
+    while r > tol and iters < MAX_NEWTON:
         R, A = rates_and_margin(model, nu)
         G = nu @ R
         q = -G @ np.linalg.pinv(A)

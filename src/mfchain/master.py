@@ -28,6 +28,7 @@ from .simplex import (
 )
 
 DT_STENCIL = 1e-4
+QUAD_POINTS = 9           # Simpson nodes on tau's chord (odd)
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,6 @@ def tau_remainder(
     config,
     i: int,
     z: int,
-    quad_points: int = 9,
 ) -> float:
     """Second-order remainder of a one-particle jump, via the chord integral.
 
@@ -158,7 +158,7 @@ def tau_remainder(
 
     equals (1/N) * int_0^1 [ D(mu_theta) - D(mu) ] dtheta with
     D(m) = dU/dm(s, m, z) - dU/dm(s, m, x), integrated here by Simpson's
-    rule on `quad_points` nodes along the straight chord mu -> mu'.
+    rule on QUAD_POINTS nodes along the straight chord mu -> mu'.
     """
     config = np.asarray(config, dtype=int)
     N = len(config)
@@ -179,10 +179,8 @@ def tau_remainder(
     shift[z] += 1.0 / N
     shift[x] -= 1.0 / N
 
-    if quad_points % 2 == 0:
-        quad_points += 1
-    thetas = np.linspace(0.0, 1.0, quad_points)
-    w = simpson_weights(quad_points)
+    thetas = np.linspace(0.0, 1.0, QUAD_POINTS)
+    w = simpson_weights(QUAD_POINTS)
     nodes = mu[None, :] + thetas[:, None] * shift[None, :]
 
     dU = dU_dmeasure_all(obs, s, nodes)                          # (n, d)

@@ -31,9 +31,9 @@ ROW_SUM_TOL = 1e-12       # |row sum| allowed per unit of the row's largest |rat
 PROBE_RESOLUTION = 3      # lattice of the valid region that make_model checks
 
 
-def check_rate_matrix(A, tol: float = ROW_SUM_TOL) -> np.ndarray:
+def check_rate_matrix(A) -> np.ndarray:
     """Validate finite entries, off-diagonal positivity and zero row sums
-    (within tol times the row's largest |entry|); returns A as floats."""
+    (within ROW_SUM_TOL times the row's largest |entry|); returns A as floats."""
     A = np.asarray(A)
     if (A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 2
             or not np.issubdtype(A.dtype, np.number)):
@@ -47,7 +47,7 @@ def check_rate_matrix(A, tol: float = ROW_SUM_TOL) -> np.ndarray:
     if np.any(off < 0.0):
         raise InputError("negative off-diagonal rate")
     rowsum = A.sum(axis=1)
-    if np.any(np.abs(rowsum) > tol * np.abs(A).max(axis=1)):
+    if np.any(np.abs(rowsum) > ROW_SUM_TOL * np.abs(A).max(axis=1)):
         raise InputError(f"row sums not zero: {rowsum.tolist()}")
     return A
 

@@ -24,11 +24,16 @@ step; a finished row's totals are written back to the full-size outputs.
 Randomness layout per replication (see rng module): the init domain uses
 draw i for particle i's initial state; the event domain uses draws 2k and
 2k+1 for the waiting time and transition choice of event k.
+
+Monte Carlo on a grid has one estimator, mc_observable: replication r runs
+from counts0[r], usually initial_counts (every start, sampled in the calling
+process), and the chunks' phi values reduce through mc_moments.  simulate
+and weak-error both call it.  Results are plain arrays: simulate returns
+(counts, n_events), mc_observable and mc_moments return (mean, stderr).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Optional
 
@@ -46,59 +51,38 @@ _WAIT_CAT = np.array([[0], [1]], dtype=np.uint64)    # draw offsets 2k, 2k + 1
 _TWO = np.uint64(2)
 
 
-@dataclass
-class EmpiricalPath:
-    """One replication's occupancy counts on a recording grid."""
-
-    times: np.ndarray
-    counts: np.ndarray          # (T, d) int
-    N: int
-    seed: int
-    rep: int
-    n_events: int
-    model_name: str = ""
-
-    @property
-    def measures(self) -> np.ndarray:
-        return self.counts / self.N
-
-
-@dataclass
-class MCEstimate:
-    """Monte Carlo estimate of E[phi(mu^N_t)] on a grid."""
-
-    times: np.ndarray
-    mean: np.ndarray
-    stderr: np.ndarray
-    R: int
-    N: int
-    seed: int
-    model_name: str = ""
-    phi_name: str = ""
-
-
 def sample_initial(mu0, N: int, seed: int, reps) -> np.ndarray:
-    """Occupancy counts of iid mu0-distributed initial states.
+    """Occupancy counts (len(reps), d) of iid mu0-distributed initial states.
 
-    reps may be an int (single replication; returns (d,)) or an array of
-    replication indices (returns (len(reps), d)).  Particle i of replication
-    r consumes draw i of the init domain of stream (seed, r), so the same
+    reps is a 1-d array of replication indices.  Particle i of replication r
+    consumes draw i of the init domain of stream (seed, r), so the same
     (seed, r, N) always yields the same configuration.
     """
     mu0 = as_measure(mu0)
     if N < 1:
         raise InputError(f"need N >= 1 particles, got {N}")
     d = len(mu0)
-    scalar = np.isscalar(reps)
-    reps_arr = np.atleast_1d(np.asarray(reps, dtype=np.uint64))
-    keys = rng.domain_key(rng.stream_key(seed, reps_arr), rng.DOMAIN_INIT)
+    reps = np.asarray(reps, dtype=np.uint64)
+    if reps.ndim != 1:
+        raise InputError(f"reps must be a 1-d array of replication indices,"
+                         f" got shape {reps.shape}")
+    keys = rng.domain_key(rng.stream_key(seed, reps), rng.DOMAIN_INIT)
     u = rng.uniforms(keys[:, None], np.arange(N, dtype=np.uint64)[None, :])
     cdf = np.cumsum(mu0)
     cdf[-1] = 1.0
     states = np.searchsorted(cdf, u, side="left")       # (R, N)
-    counts = np.zeros((len(reps_arr), d), dtype=np.int64)
-    np.add.at(counts, (np.repeat(np.arange(len(reps_arr)), N), states.ravel()), 1)
-    return counts[0] if scalar else counts
+    states += d * np.arange(len(reps))[:, None]         # row r's states
+    return np.bincount(states.ravel(), minlength=len(reps) * d).reshape(-1, d)
+
+
+def initial_counts(mu0, N: int, R: int, seed: int) -> np.ndarray:
+    """sample_initial of replications 0..R-1, chunk by chunk: (R, d)."""
+    if R < 1:
+        raise InputError(f"need at least one replication, got R = {R}")
+    return np.concatenate(run_chunks(
+        lambda lo, hi: sample_initial(mu0, N, seed,
+                                      np.arange(lo, hi, dtype=np.uint64)),
+        R), axis=0)
 
 
 @np.errstate(divide="ignore", invalid="ignore")     # dead rows, see below
@@ -261,27 +245,14 @@ def gillespie_batch(
     return out
 
 
-def simulate(
-    model: Model,
-    mu0,
-    N: int,
-    times,
-    seed: int,
-    rep: int = 0,
-) -> EmpiricalPath:
-    """One replication recorded on a grid."""
-    times = as_grid(times)
-    counts0 = sample_initial(mu0, N, seed, np.array([rep]))
-    res = gillespie_batch(model, counts0, seed, np.array([rep]), times=times)
-    return EmpiricalPath(
-        times=times,
-        counts=res["counts"][0],
-        N=N,
-        seed=seed,
-        rep=rep,
-        n_events=int(res["events"][0]),
-        model_name=model.name,
-    )
+def simulate(model: Model, mu0, N: int, times, seed: int,
+             rep: int = 0) -> tuple:
+    """Replication rep recorded on a grid: its (T, d) counts and its number
+    of events within the horizon."""
+    reps = np.array([rep])
+    res = gillespie_batch(model, sample_initial(mu0, N, seed, reps), seed,
+                          reps, times=times)
+    return res["counts"][0], int(res["events"][0])
 
 
 _WORKER: Optional[Callable[[int, int], object]] = None   # see run_chunks
@@ -337,8 +308,9 @@ def mc_moments(values: Callable[[int, int], np.ndarray], R: int,
     bit-identical for any worker count.  Returns (mean, stderr), each
     shaped like one replication's value.
     """
-    if R < 1:
-        raise InputError(f"need at least one replication, got R = {R}")
+    if R < 2:
+        raise InputError(f"need at least two replications for a standard"
+                         f" error, got R = {R}")
 
     def sums(lo, hi):
         x = values(lo, hi)
@@ -348,37 +320,29 @@ def mc_moments(values: Callable[[int, int], np.ndarray], R: int,
     s1 = sum(s for s, _ in per_chunk)
     s2 = sum(q for _, q in per_chunk)
     mean = s1 / R
-    var = np.maximum(s2 - R * mean * mean, 0.0) / max(R - 1, 1)
+    var = np.maximum(s2 - R * mean * mean, 0.0) / (R - 1)
     return mean, np.sqrt(var / R)
 
 
 def mc_observable(
     model: Model,
     phi: Callable[[np.ndarray], np.ndarray],
-    mu0,
-    N: int,
+    counts0,
     times,
-    R: int,
     seed: int,
     threads: int = 1,
-) -> MCEstimate:
-    """Monte Carlo mean of phi(mu^N_t) over R replications on a grid."""
+) -> tuple:
+    """Monte Carlo mean of phi(mu^N_t) on a grid, and its standard error.
+
+    Replication r starts from counts0[r] (see initial_counts) and runs
+    stream (seed, r).  Returns (mean, stderr), each (T,), as mc_moments does.
+    """
     times = as_grid(times)
+    counts0 = np.asarray(counts0)
 
     def values(lo, hi):
-        reps = np.arange(lo, hi, dtype=np.uint64)
-        counts0 = sample_initial(mu0, N, seed, reps)
-        res = gillespie_batch(model, counts0, seed, reps, times=times)
-        return phi(res["counts"] / N)                       # (r, T)
+        res = gillespie_batch(model, counts0[lo:hi], seed,
+                              np.arange(lo, hi, dtype=np.uint64), times=times)
+        return phi(res["counts"] / int(counts0[lo].sum()))     # (r, T)
 
-    mean, stderr = mc_moments(values, R, threads)
-    return MCEstimate(
-        times=times,
-        mean=mean,
-        stderr=stderr,
-        R=R,
-        N=N,
-        seed=seed,
-        model_name=model.name,
-        phi_name=getattr(phi, "name", ""),
-    )
+    return mc_moments(values, len(counts0), threads)

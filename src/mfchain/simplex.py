@@ -32,7 +32,7 @@ SUM_TOL = 1e-12
 FD_EPS = 1e-6
 
 
-def as_measure(weights, tol: float = SUM_TOL) -> np.ndarray:
+def as_measure(weights) -> np.ndarray:
     """Validate and return a probability vector (renormalized exactly).
 
     Negative entries are rejected outright -- only the ODE integrators are
@@ -44,23 +44,23 @@ def as_measure(weights, tol: float = SUM_TOL) -> np.ndarray:
     if not np.all(w >= 0.0):
         raise InputError(f"measure has negative or NaN entries: {w.tolist()}")
     s = w.sum()
-    if abs(s - 1.0) > tol:
-        raise InputError(f"measure weights sum to {s!r}, not 1 (tol {tol})")
+    if abs(s - 1.0) > SUM_TOL:
+        raise InputError(f"measure weights sum to {s!r}, not 1 (tol {SUM_TOL})")
     return w / s
 
 
-def as_tangent(v, tol: float = SUM_TOL) -> np.ndarray:
+def as_tangent(v) -> np.ndarray:
     """Validate zero-sum rows: v is (..., d) with d >= 2, and each row sums to
-    0 within tol times max(1, the row's L1 norm), so grown rows keep the same
-    relative tolerance."""
+    0 within SUM_TOL times max(1, the row's L1 norm), so grown rows keep the
+    same relative tolerance."""
     q = np.asarray(v, dtype=float)
     if q.ndim < 1 or q.shape[-1] < 2:
         raise InputError(f"tangent rows must have length >= 2, got shape {q.shape}")
     sums = q.sum(axis=-1)
-    ok = np.abs(sums) <= tol * np.maximum(1.0, np.abs(q).sum(axis=-1))
+    ok = np.abs(sums) <= SUM_TOL * np.maximum(1.0, np.abs(q).sum(axis=-1))
     if not np.all(ok):
         bad = float(sums[~ok].flat[0])
-        raise InputError(f"tangent row sums to {bad!r}, not 0 (tol {tol}"
+        raise InputError(f"tangent row sums to {bad!r}, not 0 (tol {SUM_TOL}"
                          " times max(1, its L1 norm))")
     return q
 

@@ -72,9 +72,9 @@ def weak_error_runs(tmp_path_factory):
 def test_criterion_01_flow_matches_closed_form():
     t0 = time.perf_counter()
     times = np.linspace(0.0, 50.0, 200)
-    traj = solve_kolmogorov(example_slow_conv(), np.array([1.0, 0.0]), times)
+    states = solve_kolmogorov(example_slow_conv(), np.array([1.0, 0.0]), times)
     seconds = time.perf_counter() - t0
-    err = float(np.abs(traj.states[:, 0] - slow_conv_exact(times, 1.0)).max())
+    err = float(np.abs(states[:, 0] - slow_conv_exact(times, 1.0)).max())
     ok = err < 1e-6 and seconds < 5.0
     announce(1, ok, f"max error {err:.2e} over 200 points, {seconds:.2f}s")
     assert err < 1e-6
@@ -318,7 +318,7 @@ def test_criterion_10_chain_rules():
         t = 0.3 + 2.2 * float(u[i])
         h = 1e-4
         grid = np.array([0.0, t - h, t - h / 2, t, t + h / 2, t + h])
-        states = solve_kolmogorov(model, mu, grid).states
+        states = solve_kolmogorov(model, mu, grid)
         vals = phi(states)
         D_full = (vals[5] - vals[1]) / (2 * h)
         D_half = (vals[4] - vals[2]) / h

@@ -164,6 +164,38 @@ def test_mc_verdict():
     assert (wild["verdict"], wild["R_needed"]) == ("inconclusive", None)
 
 
+def test_mc_verdict_fits_no_slope_through_one_size():
+    # a minimum-norm lstsq used to report slope -1.013 through one point,
+    # with n_points 1 for Ns = 8 and 2 for Ns = 8,8
+    # the verdict and R_needed do not depend on the fit: (2 * 0.03 / 0.04)^2
+    # = 2.25 R
+    for Ns, effects, halves, verdict in (
+            ([8], [0.05], [0.001], ("conclusive", None, 0)),
+            ([8, 8], [0.05, 0.04], [0.001, 0.03], ("inconclusive", 225, 2))):
+        rec = mc_verdict(Ns, effects, halves, R=100)
+        assert rec["fit"] is None
+        assert (rec["verdict"], rec["R_needed"], rec["exit_code"]) == verdict
+    two = mc_verdict([8, 8, 16], [0.05, 0.04, 0.02], [0.001] * 3, R=100)
+    assert two["fit"]["n_points"] == 3
+
+
+@pytest.mark.parametrize("command, key", [("weak-error", "run.R"),
+                                          ("stationary-gap", "gap.R")])
+def test_one_replication_refused_before_any_search(command, key, tmp_path,
+                                                    capfd, monkeypatch):
+    # no standard error from one replication: refused in config terms before
+    # the certification bundle and the stationary search (sq_dist's default
+    # target needs one in both commands)
+    calls = _count_stationary_searches(monkeypatch)
+    monkeypatch.setattr(harness, "certification_bundle",
+                        lambda *a, **k: pytest.fail("certification ran"))
+    assert main([command, "--model.name=example_non_erg", f"--{key}=1",
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("mfchain: error: config key " + key)
+    assert calls == []
+
+
 def test_parse_dotted():
     assert parse_dotted(["--run.R=500"]) == {"run.R": "500"}
     assert parse_dotted(["--run.R", "500", "--model.name=zero"]) == {
@@ -279,6 +311,11 @@ MALFORMED = [
     "solve --model.name=weak_interaction --run.horizon=1 --run.spacing=1e-17",
     # refused before the certification bundle runs
     "weak-error --model.name=weak_interaction --observable.target=0.5,0.5 --run.R=0",
+    # one replication has no standard error: it used to give a conclusive
+    # verdict with half-widths 0.0
+    "weak-error --model.name=weak_interaction --observable.target=0.5,0.5"
+    " --run.R=1 --run.Ns=8,16 --run.horizon=2",
+    "stationary-gap --model.name=constant --model.Q=-1,1;1,-1 --gap.R=1",
     # substep counts far beyond MAX_SUBSTEPS: an OverflowError traceback at
     # 5e-324, and solves that ran until killed at 1e-9
     "solve --model.name=weak_interaction --run.step=5e-324",
@@ -607,7 +644,8 @@ def test_weak_error_thread_and_rerun_identity(tmp_path):
     lines = open(os.path.join(out1, "mc_N8.csv")).read().splitlines()
     assert lines[0] == "t,mean,stderr,R,N,seed"
     assert len(lines) == 8                                 # 7 grid points
-    # simulate shares the moment reducer: same seed and config, same bytes
+    # simulate and weak-error share one grid estimator and mc.csv writer:
+    # same seed and config, same bytes
     out_sim = str(tmp_path / "sim")
     assert main(["simulate"] + base[1:] + ["--run.N=8", "--out", out_sim]) == 0
     b_sim = open(os.path.join(out_sim, "mc.csv"), "rb").read()
@@ -783,7 +821,11 @@ def test_readme_library_tour_runs():
         exec(compile(block, str(readme), "exec"), ns)
     assert np.allclose(ns["nu"], [0.5, 0.5])
     assert ns["dec"].rate == pytest.approx(2.0, abs=0.05)
-    assert ns["path"].N == 100 and ns["path"].counts.shape == (81, 2)
+    assert ns["states"].shape == (81, 2)
+    assert ns["counts"].shape == (81, 2) and np.all(ns["counts"].sum(axis=1) == 100)
+    assert ns["n_events"] > 0
+    assert ns["mean"].shape == ns["stderr"].shape == (81,)
+    assert np.all(ns["stderr"][1:] > 0)
 
 
 def test_public_surface_resolves():

@@ -10,7 +10,6 @@ from mfchain.kolmogorov import (
     CLIP_BUDGET,
     DEFAULT_STEP,
     MAX_SUBSTEPS,
-    Trajectory,
     _A,
     _B,
     _C,
@@ -53,12 +52,11 @@ def test_make_grid_exact():
 def test_solve_matches_closed_form_slow_conv():
     model = example_slow_conv()
     times = make_grid(5.0, 0.25)
-    traj = solve_kolmogorov(model, np.array([1.0, 0.0]), times)
-    assert isinstance(traj, Trajectory)
-    assert traj.model_name == model.name
-    assert traj.states.shape == (len(times), 2)
+    states = solve_kolmogorov(model, np.array([1.0, 0.0]), times)
+    assert isinstance(states, np.ndarray)
+    assert states.shape == (len(times), 2)
     exact = slow_conv_exact(times, 1.0)
-    assert np.abs(traj.states[:, 0] - exact).max() < 1e-9
+    assert np.abs(states[:, 0] - exact).max() < 1e-9
 
 
 def test_rk_is_eighth_order_on_affine_flow():
@@ -320,9 +318,9 @@ def test_validate_grid():
             solve_kolmogorov(model, [0.9, 0.1], times)
     # a grid may start after t = 0 and may repeat a time
     for times in ([0.0, 0.5, 1.0], [0.5, 1.0], [0.0, 1.0, 1.0]):
-        traj = solve_kolmogorov(model, [0.9, 0.1], times)
-        assert np.array_equal(traj.times, times)
-        assert np.array_equal(traj.states[0], [0.9, 0.1])
+        states = solve_kolmogorov(model, [0.9, 0.1], times)
+        assert states.shape == (len(times), 2)
+        assert np.array_equal(states[0], [0.9, 0.1])
 
 
 # --- postprocessor safeguards ------------------------------------------------

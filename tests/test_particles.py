@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from mfchain import rng
 from mfchain.errors import DomainExitError, InputError
 from mfchain.models import Model, ValidRegion, constant, weak_interaction, zero
 from mfchain.particles import (
-    EmpiricalPath,
+    CHUNK,
     gillespie_batch,
+    initial_counts,
     mc_moments,
     mc_observable,
     run_chunks,
@@ -28,8 +30,10 @@ def test_sample_initial_deterministic():
     assert np.array_equal(a, b)
     assert a.shape == (4, 2)
     assert np.all(a.sum(axis=1) == 50)
-    # scalar rep indexing matches the vector form
-    assert np.array_equal(sample_initial(mu0, 50, 9, 3), a[3])
+    # a replication's counts do not depend on the batch around it
+    assert np.array_equal(sample_initial(mu0, 50, 9, np.array([3]))[0], a[3])
+    with pytest.raises(InputError, match="1-d array"):
+        sample_initial(mu0, 50, 9, 3)
     # different replications give different draws
     assert not np.array_equal(a[0], a[1]) or not np.array_equal(a[1], a[2])
 
@@ -42,18 +46,37 @@ def test_sample_initial_distribution():
     assert chi2 < 10.83                  # chi^2_1 at 99.9%
 
 
+def test_initial_counts_match_one_batch_across_chunks():
+    # R spans two chunks; each row is the count vector of its own draws
+    mu0, N, R, seed = [0.2, 0.5, 0.3], 6, CHUNK + 3, 4
+    counts = initial_counts(mu0, N, R, seed)
+    assert np.array_equal(counts, sample_initial(mu0, N, seed, np.arange(R)))
+    assert counts.shape == (R, 3) and np.all(counts.sum(axis=1) == N)
+    rows = np.array([7, 2, CHUNK + 1])
+    assert np.array_equal(sample_initial(mu0, N, seed, rows), counts[rows])
+    # reference: each row's states from its own init draws, counted row by row
+    keys = rng.domain_key(rng.stream_key(seed, rows.astype(np.uint64)),
+                          rng.DOMAIN_INIT)
+    u = rng.uniforms(keys[:, None], np.arange(N, dtype=np.uint64)[None, :])
+    states = np.searchsorted(np.cumsum(mu0), u, side="left")
+    assert np.array_equal(counts[rows],
+                          [np.bincount(s, minlength=3) for s in states])
+    with pytest.raises(InputError, match="at least one replication"):
+        initial_counts(mu0, N, 0, seed)
+
+
 def test_constant_chain_matches_marginal_law():
     # for law-independent rates the particles are iid 2-state chains, so
     # E mu^N_1(t) = 0.5 + 0.4 exp(-2 t) exactly
     times = np.array([0.0, 0.5, 1.0, 2.0])
-    est = mc_observable(
-        constant(SYM2), lambda m: m[..., 0], np.array([0.9, 0.1]),
-        N=200, times=times, R=500, seed=11,
+    mean, stderr = mc_observable(
+        constant(SYM2), lambda m: m[..., 0],
+        initial_counts(np.array([0.9, 0.1]), 200, 500, 11), times, seed=11,
     )
     exact = 0.5 + 0.4 * np.exp(-2.0 * times)
-    z = (est.mean - exact) / est.stderr
+    z = (mean - exact) / stderr
     assert np.abs(z).max() < 4.0
-    assert np.all(est.stderr > 0)
+    assert np.all(stderr > 0)
 
 
 def test_event_count_is_poisson_rate_N():
@@ -176,31 +199,44 @@ def test_mc_moments_chunked_matches_direct():
     with pytest.raises(ValueError, match="replication"):
         mc_moments(values, 0)
 
+
+def test_mc_moments_needs_two_replications():
+    # one replication has no standard error; it used to report 0
+    def values(lo, hi):
+        return np.array([1.0, 3.0])[lo:hi]
+
+    with pytest.raises(InputError, match="at least two replications"):
+        mc_moments(values, 1)
+    # sample variance over R - 1 = 1: (1 + 9 - 2 * 2^2) / 1 = 2
+    assert mc_moments(values, 2) == (2.0, 1.0)
+
 def test_mc_observable_thread_invariance():
-    est1 = mc_observable(
-        weak_interaction(), lambda m: m[..., 0], [0.9, 0.1],
-        N=20, times=np.array([0.0, 1.0]), R=60, seed=13, threads=1,
+    counts0 = initial_counts([0.9, 0.1], 20, 60, 13)
+    mean1, stderr1 = mc_observable(
+        weak_interaction(), lambda m: m[..., 0], counts0,
+        times=np.array([0.0, 1.0]), seed=13, threads=1,
     )
-    est8 = mc_observable(
-        weak_interaction(), lambda m: m[..., 0], [0.9, 0.1],
-        N=20, times=np.array([0.0, 1.0]), R=60, seed=13, threads=8,
+    mean8, stderr8 = mc_observable(
+        weak_interaction(), lambda m: m[..., 0], counts0,
+        times=np.array([0.0, 1.0]), seed=13, threads=8,
     )
-    assert np.array_equal(est1.mean, est8.mean)
-    assert np.array_equal(est1.stderr, est8.stderr)
+    assert np.array_equal(mean1, mean8)
+    assert np.array_equal(stderr1, stderr8)
 
 
 def test_grid_refinement_consistency():
     # the recorded values are exact path samples: refining the grid must not
     # change the values at shared times
     model = weak_interaction()
-    coarse = simulate(model, [0.7, 0.3], N=25, times=np.array([0.0, 1.0, 2.0]),
-                      seed=21, rep=5)
-    fine = simulate(model, [0.7, 0.3], N=25,
-                    times=np.arange(0.0, 2.01, 0.25), seed=21, rep=5)
-    assert isinstance(coarse, EmpiricalPath)
-    assert np.array_equal(coarse.counts, fine.counts[::4])
-    assert coarse.n_events == fine.n_events
-    assert np.allclose(coarse.measures * 25, coarse.counts)
+    coarse, coarse_events = simulate(
+        model, [0.7, 0.3], N=25, times=np.array([0.0, 1.0, 2.0]), seed=21,
+        rep=5)
+    fine, fine_events = simulate(model, [0.7, 0.3], N=25,
+                                 times=np.arange(0.0, 2.01, 0.25), seed=21,
+                                 rep=5)
+    assert coarse.shape == (3, 2) and np.all(coarse.sum(axis=1) == 25)
+    assert np.array_equal(coarse, fine[::4])
+    assert coarse_events == fine_events
 
 
 def test_zero_model_freezes():
@@ -248,9 +284,9 @@ def test_region_exit_same_for_any_worker_count():
     messages = []
     for threads in (1, 2):
         with pytest.raises(DomainExitError, match="left the valid region") as exc:
-            mc_observable(guarded, lambda m: m[..., 0], [0.5, 0.5], N=10,
-                          times=np.array([0.0, 5.0]), R=6000, seed=3,
-                          threads=threads)
+            mc_observable(guarded, lambda m: m[..., 0],
+                          initial_counts([0.5, 0.5], 10, 6000, 3),
+                          times=np.array([0.0, 5.0]), seed=3, threads=threads)
         messages.append((str(exc.value), exc.value.time))
         assert multiprocessing.active_children() == []
     assert messages[0] == messages[1]
@@ -294,8 +330,9 @@ def test_input_validation():
             lambda: gillespie_batch(zero(2), np.array([[3, 7]]), 0,
                                     np.arange(1), times=times),
             lambda: simulate(zero(2), [0.3, 0.7], 10, times, seed=0),
-            lambda: mc_observable(zero(2), lambda m: m[..., 0], [0.3, 0.7],
-                                  10, times, R=2, seed=0),
+            lambda: mc_observable(zero(2), lambda m: m[..., 0],
+                                  initial_counts([0.3, 0.7], 10, 2, 0), times,
+                                  seed=0),
         ):
             with pytest.raises(InputError, match="recording grid must be"):
                 call()
