@@ -99,7 +99,9 @@ def measure_kernel():
         t0 = time.perf_counter()
         res = particles.gillespie_batch(model, counts0, 12345, reps, times=times)
         rate[f"events_per_s_N{N}"] = int(res["events"].sum()) / (time.perf_counter() - t0)
-        counts.append(res["counts"])
+        # the recorded counts, as (R, T, d) or as lattice rows (R, T)
+        counts.append(res["counts"] if "counts" in res
+                      else res["lattice"][res["states"]])
     return rate, {"digest": digest(*counts)}
 
 def measure_mc_grid(threads):

@@ -37,8 +37,8 @@ from .kolmogorov import (
 from .linearized import check_condition1, check_condition2, estimate_decay
 from .master import PropagatedObservable, master_residual_scan
 from .models import Model, make_model
-from .particles import (gillespie_batch, initial_counts, mc_moments,
-                        mc_observable, sample_initial, simulate)
+from .particles import (check_lattice, gillespie_batch, initial_counts,
+                        mc_moments, mc_observable, sample_initial, simulate)
 from .simplex import ScalarField, as_measure, barycenter, make_observable
 
 EXIT_PASS = 0
@@ -119,6 +119,20 @@ def cfg_replications(cfg: dict, key: str, default: int) -> int:
         raise InputError(f"config key {key}: need at least 2 replications"
                          f" for a standard error, got {R}")
     return R
+
+
+def cfg_particles(cfg: dict, key: str, default, model: Model,
+                  single: bool = False) -> list:
+    """The key's particle counts (one int if single, else a comma list):
+    each N >= 1, with a count lattice of at most particles.MAX_LATTICE
+    states at the model's d."""
+    Ns = [cfg_int(cfg, key, default)] if single else cfg_ints(cfg, key, default)
+    for N in Ns:
+        try:
+            check_lattice(N, model.d)
+        except InputError as exc:
+            raise InputError(f"config key {key}: {exc}") from None
+    return Ns
 
 
 def cfg_vector(cfg: dict, key: str, model: Model) -> np.ndarray:
@@ -389,10 +403,10 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
                    force: bool = False) -> dict:
     model = model_from_config(cfg)
     R = cfg_replications(cfg, "run.R", 20_000)
+    Ns = cfg_particles(cfg, "run.Ns", "8,16,32,64,128,256", model)
     phi = observable_from_config(cfg, model)
     mu0 = initial_measure(cfg, model)
     times = run_grid(cfg)
-    Ns = cfg_ints(cfg, "run.Ns", "8,16,32,64,128,256")
 
     bundle = certification_bundle(model, cfg, seed)
     if not bundle["certified"] and not force:
@@ -510,6 +524,7 @@ def run_stationary_gap(cfg: dict, out: str, seed: int, threads: int = 1,
                              f" got {burn}")
         _check_gap_end(burn, window)
     R = cfg_replications(cfg, "gap.R", 400)
+    Ns = cfg_particles(cfg, "gap.Ns", "10,100,1000", model)
     nu, info = stationary_search(cfg, model)
     phi = observable_from_config(cfg, model, nu)
     decay = decay_probe(model, cfg, seed)
@@ -522,7 +537,6 @@ def run_stationary_gap(cfg: dict, out: str, seed: int, threads: int = 1,
     if burn is None:
         burn = 10.0 / lam if lam is not None and lam > 0 else 5.0
         _check_gap_end(burn, window)
-    Ns = cfg_ints(cfg, "gap.Ns", "10,100,1000")
     phi_ref = float(phi(nu))
 
     per_N = []
@@ -641,9 +655,12 @@ def run_solve(cfg: dict, out: str, seed: int, threads: int = 1,
 def run_simulate(cfg: dict, out: str, seed: int, threads: int = 1,
                  force: bool = False) -> dict:
     model = model_from_config(cfg)
-    mu0 = initial_measure(cfg, model)
-    N = cfg_int(cfg, "run.N", 100)
+    [N] = cfg_particles(cfg, "run.N", 100, model, single=True)
     R = cfg_int(cfg, "run.R", 1)
+    if R < 1:
+        raise InputError(f"config key run.R: need at least one replication,"
+                         f" got {R}")
+    mu0 = initial_measure(cfg, model)
     times = run_grid(cfg)
     if R == 1:
         counts, n_events = simulate(model, mu0, N, times, seed, rep=0)

@@ -1,25 +1,36 @@
 """Interacting particle system: exact event-driven simulation.
 
 N particles on [d] jump with rates alpha_{x y}(mu^N_t) read off the current
-empirical measure.  The state is kept as an occupancy-count vector; the
-system's next transition is sampled by the direct (Gillespie) method:
+empirical measure.  The state is an occupancy-count vector, one point of the
+count lattice {k : k_1 + ... + k_d = N} (simplex.count_lattice, with
+C(N + d - 1, d - 1) points); the system's next transition is sampled by the
+direct (Gillespie) method:
 
   * pair weights       w_p = counts_x * alpha_{x y}(mu) for the d(d-1)
                        off-diagonal pairs p = (x, y) in row-major order,
   * total event rate   Lambda = the running total w_0 + w_1 + ... summed
                        left to right, the same sum the jump search uses,
   * waiting time       Exp(1) / Lambda,
-  * transition         the first pair whose running total reaches u Lambda,
+  * transition         the first pair whose running total reaches u Lambda.
 
-with rates re-evaluated after every event.  Replications run in lockstep as
-batched array rows, each driven by its own counter-based random stream, so
-results are independent of batching, chunking, and worker count.
+These depend only on the lattice point, so each gillespie_batch call
+tabulates them once: one model.rates call on every point inside the valid
+region gives each point's running totals and Lambda, beside its region flag,
+phi (in phi mode) and the point each pair's jump leads to.  An event is then
+a few table lookups.  Lattices above MAX_LATTICE points are refused.
+Replications run in lockstep as batched array rows, each driven by its own
+counter-based random stream, so results are independent of batching,
+chunking, and worker count.
 
 State layout in gillespie_batch: each per-row quantity (row id, event key,
-counts, time, draw counter, grid pointer, next grid time, events, time
-average) is a compact array over the active rows only, in row order.  The
-arrays shrink when rows finish, dead ones (no outgoing rate) at their next
-step; a finished row's totals are written back to the full-size outputs.
+lattice point, time, grid pointer, next grid time, time average) is a
+compact array over the active rows only, in row order.  The arrays shrink
+when rows finish, dead ones (no outgoing rate) at their next step; a
+finished row's totals are written back to the full-size outputs.  Active
+rows have all made one event per lockstep step, so they share one draw
+counter, and a finished row's event count follows from the step count.
+Grid mode writes a row's lattice point only at the first grid time that a
+waiting time crosses, and fills the times it skipped forward at the end.
 
 Randomness layout per replication (see rng module): the init domain uses
 draw i for particle i's initial state; the event domain uses draws 2k and
@@ -27,13 +38,15 @@ draw i for particle i's initial state; the event domain uses draws 2k and
 
 Monte Carlo on a grid has one estimator, mc_observable: replication r runs
 from counts0[r], usually initial_counts (every start, sampled in the calling
-process), and the chunks' phi values reduce through mc_moments.  simulate
-and weak-error both call it.  Results are plain arrays: simulate returns
+process); each chunk evaluates phi once per lattice point, reads it at the
+recorded points, and the chunks reduce through mc_moments.  simulate and
+weak-error both call it.  Results are plain arrays: simulate returns
 (counts, n_events), mc_observable and mc_moments return (mean, stderr).
 """
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 from typing import Callable, Optional
 
@@ -43,12 +56,12 @@ from . import rng
 from .errors import DomainExitError, InputError, SolverError
 from .kolmogorov import as_grid
 from .models import Model
-from .simplex import as_measure
+from .simplex import as_measure, count_lattice, lattice_index
 
 CHUNK = 5000
 MAX_EVENTS = 10**9         # per replication; more means a runaway simulation
+MAX_LATTICE = 2**18        # lattice points one gillespie_batch call tabulates
 _WAIT_CAT = np.array([[0], [1]], dtype=np.uint64)    # draw offsets 2k, 2k + 1
-_TWO = np.uint64(2)
 
 
 def sample_initial(mu0, N: int, seed: int, reps) -> np.ndarray:
@@ -85,6 +98,19 @@ def initial_counts(mu0, N: int, R: int, seed: int) -> np.ndarray:
         R), axis=0)
 
 
+def check_lattice(N: int, d: int) -> int:
+    """The number of count vectors of N particles on d states; refuses
+    N < 1 and lattices of more than MAX_LATTICE states."""
+    if N < 1:
+        raise InputError(f"need N >= 1 particles, got {N}")
+    size = math.comb(N + d - 1, d - 1)
+    if size > MAX_LATTICE:
+        raise InputError(f"N = {N} particles on d = {d} states make a count"
+                         f" lattice of {size} states, more than MAX_LATTICE"
+                         f" = {MAX_LATTICE}")
+    return size
+
+
 @np.errstate(divide="ignore", invalid="ignore")     # dead rows, see below
 def gillespie_batch(
     model: Model,
@@ -101,13 +127,14 @@ def gillespie_batch(
     counts0: (R, d) initial occupancy counts (constant total N per row).
     Each call runs one of two modes, and refuses both at once:
     times:   recording grid (checked by kolmogorov.as_grid); states are
-             right-continuous, so grid time g gets the pre-jump counts of
+             right-continuous, so grid time g gets the pre-jump state of
              the first jump strictly after g.
     phi:     accumulate the exact time average of phi(mu^N) over [burn, end]
              (piecewise-constant between jumps, no grid bias).
 
-    Returns {"counts": (R, T, d) int32 or None, "phi_avg": (R,) or None,
-    "events": (R,) int64 event counts within the horizon}.
+    Returns {"lattice": count_lattice(d, N), "states": (R, T) int32 rows of
+    the lattice or None, "phi_avg": (R,) or None, "events": (R,) int64 event
+    counts within the horizon}; lattice[states] are the recorded counts.
     """
     counts = np.array(counts0, dtype=np.int64)
     R, d = counts.shape
@@ -117,8 +144,8 @@ def gillespie_batch(
     N = int(Ns[0])
     if not np.all(Ns == N):
         raise InputError("all replications must have the same particle count")
-    if N < 1:
-        raise InputError(f"need N >= 1 particles, got {N}")
+    if np.any(counts < 0):
+        raise InputError("counts0 must be nonnegative")
     if times is not None and phi is not None:
         raise InputError("record on a grid or average phi, not both in one call")
     if times is None and (phi is None or end is None):
@@ -137,109 +164,132 @@ def gillespie_batch(
     reps_arr = np.atleast_1d(np.asarray(reps, dtype=np.uint64))
     if len(reps_arr) != R:
         raise InputError("reps must match the number of rows in counts0")
+    S = check_lattice(N, d)
+
+    # per lattice state: the region flag, the pair weights' running totals
+    # (rates only where the region holds), their total lambda, phi, and the
+    # state each pair's jump leads to (itself where count_x = 0: unread)
+    lattice = count_lattice(d, N)
+    mu = lattice / N
+    inside = model.valid_region.contains(mu)
+    check_region = not inside.all()
+    A = np.zeros((S, d, d))
+    A[inside] = model.rates(mu[inside])
+    pairs = [(x, y) for x in range(d) for y in range(d) if x != y]
+    running = list(accumulate(lattice[:, x] * A[:, x, y] for x, y in pairs))
+    lam, below = running[-1], running[:-1]
+    any_dead = bool(np.any(lam[inside] <= 0.0))
+    phi_at = phi(mu) if phi is not None else None
+    P = len(pairs)
+    jump = np.repeat(np.arange(S), P).reshape(S, P)
+    for p, (x, y) in enumerate(pairs):
+        can = lattice[:, x] > 0
+        k = lattice[can]
+        k[:, x] -= 1
+        k[:, y] += 1
+        jump[can, p] = lattice_index(k)
+    jump = jump.ravel()                         # state s, pair j: s * P + j
 
     T = len(times) if times is not None else 0
     times_ext = (
         np.append(times, np.inf) if times is not None else np.array([np.inf])
     )
-    grid = (
-        np.zeros((R, T, d), dtype=np.int32) if times is not None else None
-    )
+    # grid mode writes the first grid index that each waiting time crosses;
+    # the indices it skips (-1) take the state written before them
+    grid = np.full((R, T), -1, dtype=np.int32) if times is not None else None
+    flat = grid.ravel() if grid is not None else None
     events_out = np.zeros(R, dtype=np.int64)
     acc_out = np.zeros(R) if phi is not None else None
-    check_region = model.valid_region.min_mass > 0.0
-    pairs = [(x, y) for x in range(d) for y in range(d) if x != y]
-    jumps = np.zeros((len(pairs), d), dtype=np.int64)    # count change per pair
-    for p, (x, y) in enumerate(pairs):
-        jumps[p, x], jumps[p, y] = -1, 1
 
-    # compact state of the active rows, in row order
+    # compact state of the active rows, in row order; every active row has
+    # made `steps` events so far, so they share the draw counter 2 * steps
     row = np.arange(R)
     key = rng.domain_key(rng.stream_key(seed, reps_arr), rng.DOMAIN_EVENTS)
+    s = lattice_index(counts)                   # lattice state
     t = np.zeros(R)
-    ctr = np.zeros(R, dtype=np.uint64)          # 2k for the next event k
-    ptr = np.zeros(R, dtype=np.int64)           # next grid index to record
+    ptr = np.zeros(R, dtype=np.int64)           # next grid index to write
     nxt = np.full(R, times_ext[0])              # times_ext[ptr]
-    ev = np.zeros(R, dtype=np.int64)
     acc = np.zeros(R) if phi is not None else None
-
-    def record(sel):
-        """Record the counts of rows sel at their next grid time."""
-        at = ptr[sel]
-        grid[row[sel], at] = counts[sel]
-        at += 1
-        ptr[sel] = at
-        nxt[sel] = times_ext[at]
 
     def retire(gone):
         """Write back the totals of rows gone and drop them from the state."""
-        nonlocal row, key, counts, t, ctr, ptr, nxt, ev, acc
-        events_out[row[gone]] = ev[gone]
+        nonlocal row, key, s, t, ptr, nxt, acc
+        # their events: every step but this one, and this one if in time
+        events_out[row[gone]] = steps - 1 + (t_new[gone] <= horizon)
         if acc is not None:
             acc_out[row[gone]] = acc[gone]
             acc = acc[~gone]
-        row, key, counts, t, ctr, ptr, nxt, ev = (
-            a[~gone] for a in (row, key, counts, t, ctr, ptr, nxt, ev))
+        row, key, s, t, ptr, nxt = (
+            a[~gone] for a in (row, key, s, t, ptr, nxt))
 
     steps = 0
     while len(row):
-        mu = counts / N
-        if check_region:
-            inside = model.valid_region.contains(mu)
-            if not inside.all():
-                bad = int(np.argmin(inside))
-                raise DomainExitError(
-                    f"empirical measure of replication {int(reps_arr[row[bad]])}"
-                    f" left the valid region of {model.name!r} at t={t[bad]:.6g}",
-                    time=float(t[bad]),
-                )
-        A = model.rates(mu)
-        running = list(accumulate(counts[:, x] * A[:, x, y] for x, y in pairs))
-        lam = running[-1]
-        if not steps and float(lam.max()) * horizon > MAX_EVENTS:
-            raise InputError(f"expected about {float(lam.max()) * horizon:.3g}"
+        if check_region and not inside[s].all():
+            bad = int(np.argmin(inside[s]))
+            raise DomainExitError(
+                f"empirical measure of replication {int(reps_arr[row[bad]])}"
+                f" left the valid region of {model.name!r} at t={t[bad]:.6g}",
+                time=float(t[bad]),
+            )
+        lam_s = lam[s]
+        if not steps and float(lam_s.max()) * horizon > MAX_EVENTS:
+            raise InputError(f"expected about {float(lam_s.max()) * horizon:.3g}"
                              f" events in a replication up to t={horizon:.6g},"
                              f" more than MAX_EVENTS = {MAX_EVENTS}")
 
         # a dead row (no outgoing rate) never jumps: its next event is at
         # +inf (explicitly, as u = 1 gives 0/0), so this step records the
         # rest of its grid and its phi tail, and retires it
-        u = rng.uniforms(key, ctr + _WAIT_CAT)           # (2, n)
-        t_new = t - np.log(u[0]) / lam
-        t_new[lam <= 0.0] = np.inf
+        u = rng.uniforms(key, _WAIT_CAT + np.uint64(2 * steps))     # (2, n)
+        t_new = t - np.log(u[0]) / lam_s
+        if any_dead:
+            t_new[lam_s <= 0.0] = np.inf
 
         if grid is not None:
             sel = np.flatnonzero(nxt < t_new)
-            while len(sel):
-                record(sel)
-                sel = sel[nxt[sel] < t_new[sel]]
+            if len(sel):
+                at = ptr[sel]
+                flat[row[sel] * T + at] = s[sel]
+                # past the next grid time, or past every one t_new passed
+                at += 1
+                ts = t_new[sel]
+                far = times_ext[at] < ts
+                if far.any():
+                    at[far] = np.searchsorted(times, ts[far])
+                ptr[sel] = at
+                nxt[sel] = times_ext[at]
         if acc is not None:
             span = np.minimum(t_new, end) - np.maximum(t, burn)
             nz = span > 0
             if nz.all():
-                acc += phi(mu) * span
+                acc += phi_at[s] * span
             elif nz.any():
-                acc[nz] += phi(mu[nz]) * span[nz]
+                acc[nz] += phi_at[s[nz]] * span[nz]
 
         # the jump: the first pair whose running total reaches u * lambda
         # (a dead row takes pair 0's jump; it retires below, unread)
-        v = u[1] * lam
-        j = (running[0] < v).astype(np.intp)
-        for s in running[1:-1]:
-            j += s < v
-        counts += jumps.take(j, axis=0)
-        ev += t_new <= horizon
+        v = u[1] * lam_s
+        to = s * P                              # + the pair's number
+        for b in below:
+            to += b[s] < v
+        s = jump[to]
         t = t_new
-        ctr += _TWO
-        steps += 1              # no row has more events than lockstep steps
-        if steps > MAX_EVENTS and ev.max() > MAX_EVENTS:
+        steps += 1
+        done = t_new > horizon if grid is not None else t_new >= end
+        # a row that goes on has made `steps` events
+        if steps > MAX_EVENTS and not done.all():
             raise SolverError(f"a replication exceeded {MAX_EVENTS} events")
-
-        done = ptr >= T if grid is not None else t_new >= end
         if done.any():
             retire(done)
 
-    out: dict = {"events": events_out, "counts": grid, "phi_avg": None}
+    out: dict = {"lattice": lattice, "states": None, "phi_avg": None,
+                 "events": events_out}
+    if grid is not None:
+        skipped = np.flatnonzero(flat < 0)
+        while len(skipped):                     # a run of k fills in k passes
+            flat[skipped] = flat[skipped - 1]
+            skipped = skipped[flat[skipped] < 0]
+        out["states"] = grid
     if acc_out is not None:
         out["phi_avg"] = acc_out / (end - burn)
     return out
@@ -252,7 +302,7 @@ def simulate(model: Model, mu0, N: int, times, seed: int,
     reps = np.array([rep])
     res = gillespie_batch(model, sample_initial(mu0, N, seed, reps), seed,
                           reps, times=times)
-    return res["counts"][0], int(res["events"][0])
+    return res["lattice"][res["states"][0]], int(res["events"][0])
 
 
 _WORKER: Optional[Callable[[int, int], object]] = None   # see run_chunks
@@ -343,6 +393,6 @@ def mc_observable(
     def values(lo, hi):
         res = gillespie_batch(model, counts0[lo:hi], seed,
                               np.arange(lo, hi, dtype=np.uint64), times=times)
-        return phi(res["counts"] / int(counts0[lo].sum()))     # (r, T)
+        return phi(res["lattice"] / int(counts0[lo].sum()))[res["states"]]
 
     return mc_moments(values, len(counts0), threads)

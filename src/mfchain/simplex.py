@@ -19,7 +19,6 @@ analytic fields below use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
 import numpy as np
@@ -143,15 +142,53 @@ def simpson_weights(n: int) -> np.ndarray:
 # lattice
 
 
+def count_lattice(d: int, n: int) -> np.ndarray:
+    """Every count vector k in N^d with k_1 + ... + k_d = n, in lexicographic
+    order: a (C(n + d - 1, d - 1), d) int32 array whose row lattice_index(k)
+    is k.  The empirical measures of n particles on d states are its rows / n.
+    """
+    rows, left = np.zeros((1, 0), dtype=np.int32), np.array([n])
+    for _ in range(d - 1):
+        width = left + 1                       # the next entry runs 0..left
+        k = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        rows = np.column_stack([np.repeat(rows, width, axis=0), k])
+        left = np.repeat(left, width) - k
+    return np.column_stack([rows, left]).astype(np.int32)
+
+
+def lattice_index(counts) -> np.ndarray:
+    """Row of each count vector of counts (..., d) in count_lattice(d, n),
+    n being the vector's total: the number of lattice points before it.
+
+    Entry i contributes the points that share k's first i entries and have
+    a smaller entry i.  With `left` the mass still to place and m = d - 1 - i
+    entries after i, they number C(left + m, m) - C(left - k_i + m, m).
+    """
+    k = np.asarray(counts, dtype=np.int64)
+    d = k.shape[-1]
+    left = k.sum(axis=-1)
+    index = np.zeros_like(left)
+    for i in range(d - 1):
+        m = d - 1 - i
+        index += _choose(left + m, m) - _choose(left - k[..., i] + m, m)
+        left = left - k[..., i]
+    return index
+
+
+def _choose(a: np.ndarray, m: int) -> np.ndarray:
+    """C(a, m) elementwise for integers a >= m, exactly: after step j the
+    product is C(a - m + j, j)."""
+    c = np.ones_like(a)
+    for j in range(1, m + 1):
+        c = c * (a - m + j) // j
+    return c
+
+
 def simplex_lattice(d: int, resolution: int) -> np.ndarray:
     """All points of S_d with coordinates k/resolution, in lexicographic order."""
     if resolution < 1:
         raise InputError("resolution must be >= 1")
-    pts = []
-    for cut in combinations_with_replacement(range(resolution + 1), d - 1):
-        counts = np.diff((0,) + cut + (resolution,))
-        pts.append(counts)
-    return np.array(pts, dtype=float) / resolution
+    return count_lattice(d, resolution) / resolution
 
 
 # ---------------------------------------------------------------------------

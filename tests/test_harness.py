@@ -196,6 +196,32 @@ def test_one_replication_refused_before_any_search(command, key, tmp_path,
     assert calls == []
 
 
+@pytest.mark.parametrize("command, args, key", [
+    ("weak-error", ["--run.Ns=0,8"], "run.Ns"),
+    ("weak-error", ["--run.Ns=8,300000"], "run.Ns"),
+    ("stationary-gap", ["--gap.Ns=10,0"], "gap.Ns"),
+    ("simulate", ["--run.R=5", "--run.N=0"], "run.N"),
+    ("simulate", ["--run.R=5", "--run.N=100000000000"], "run.N"),
+    ("simulate", ["--run.R=0"], "run.R"),
+])
+def test_particle_and_replication_counts_refused_before_any_search(
+        command, args, key, tmp_path, capfd, monkeypatch):
+    # N < 1, a count lattice above MAX_LATTICE (300 001 and 1e11 + 1 states
+    # at d = 2), and R < 1 in simulate: refused in config terms before the
+    # certification bundle and the stationary search.  weak-error's N = 0 was
+    # refused only after certification, and simulate's huge N ended in a raw
+    # memory error from sample_initial
+    calls = _count_stationary_searches(monkeypatch)
+    monkeypatch.setattr(harness, "certification_bundle",
+                        lambda *a, **k: pytest.fail("certification ran"))
+    assert main([command, "--model.name=example_non_erg", *args,
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("mfchain: error: config key " + key)
+    assert err.count("\n") == 1
+    assert calls == []
+
+
 def test_parse_dotted():
     assert parse_dotted(["--run.R=500"]) == {"run.R": "500"}
     assert parse_dotted(["--run.R", "500", "--model.name=zero"]) == {
@@ -316,6 +342,16 @@ MALFORMED = [
     "weak-error --model.name=weak_interaction --observable.target=0.5,0.5"
     " --run.R=1 --run.Ns=8,16 --run.horizon=2",
     "stationary-gap --model.name=constant --model.Q=-1,1;1,-1 --gap.R=1",
+    # particle counts below 1 or with a count lattice above MAX_LATTICE,
+    # refused before any certification or stationary search; a huge run.N
+    # used to end in a raw memory error from sample_initial
+    "weak-error --model.name=weak_interaction --observable.target=0.5,0.5"
+    " --run.Ns=0,8",
+    "weak-error --model.name=weak_interaction --observable.target=0.5,0.5"
+    " --run.Ns=8,300000",
+    "simulate --model.name=weak_interaction --run.N=100000000000 --run.horizon=1",
+    "stationary-gap --model.name=constant --model.Q=-1,1;1,-1 --gap.Ns=0",
+    "stationary-gap --model.name=constant --model.Q=-1,1;1,-1 --gap.Ns=10,300000",
     # substep counts far beyond MAX_SUBSTEPS: an OverflowError traceback at
     # 5e-324, and solves that ran until killed at 1e-9
     "solve --model.name=weak_interaction --run.step=5e-324",

@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import pickle
 
@@ -7,9 +8,11 @@ from scipy.linalg import expm
 
 from mfchain import rng
 from mfchain.errors import DomainExitError, InputError
-from mfchain.models import Model, ValidRegion, constant, weak_interaction, zero
+from mfchain.models import (Model, ValidRegion, constant, example_chaos,
+                            weak_interaction, zero)
 from mfchain.particles import (
     CHUNK,
+    MAX_LATTICE,
     gillespie_batch,
     initial_counts,
     mc_moments,
@@ -21,6 +24,11 @@ from mfchain.particles import (
 from conftest import BAD_GRIDS
 
 SYM2 = np.array([[-1.0, 1.0], [1.0, -1.0]])
+
+
+def recorded(res):
+    """The (R, T, d) counts of a grid-mode gillespie_batch result."""
+    return res["lattice"][res["states"]]
 
 
 def test_sample_initial_deterministic():
@@ -104,7 +112,7 @@ def test_three_state_chain_against_matrix_exponential():
         constant(Q), counts0, seed=3, reps=np.arange(R),
         times=np.array([0.0, t]),
     )
-    m = res["counts"][:, -1, :] / 50.0
+    m = recorded(res)[:, -1, :] / 50.0
     z = (m.mean(axis=0) - exact) / np.sqrt(m.var(axis=0, ddof=1) / R)
     assert np.abs(z).max() < 4.0
 
@@ -120,7 +128,8 @@ def test_batch_composition_invariance():
     full = gillespie_batch(model, counts0, 7, reps, times=times)
     lo = gillespie_batch(model, counts0[:4], 7, reps[:4], times=times)
     hi = gillespie_batch(model, counts0[4:], 7, reps[4:], times=times)
-    assert np.array_equal(full["counts"], np.concatenate([lo["counts"], hi["counts"]]))
+    assert np.array_equal(recorded(full),
+                          np.concatenate([recorded(lo), recorded(hi)]))
     assert np.array_equal(full["events"], np.concatenate([lo["events"], hi["events"]]))
 
 
@@ -148,7 +157,7 @@ def test_batch_composition_invariance_three_states():
         full = gillespie_batch(model, counts0, 8, reps, **mode)
         lo = gillespie_batch(model, counts0[:5], 8, reps[:5], **mode)
         hi = gillespie_batch(model, counts0[5:], 8, reps[5:], **mode)
-        for key in ("counts", "phi_avg", "events"):
+        for key in ("states", "phi_avg", "events"):
             if full[key] is not None:
                 assert np.array_equal(full[key],
                                       np.concatenate([lo[key], hi[key]])), key
@@ -243,8 +252,8 @@ def test_zero_model_freezes():
     counts0 = np.array([[3, 7], [5, 5]])
     res = gillespie_batch(zero(2), counts0, seed=1, reps=np.arange(2),
                           times=np.array([0.0, 1.0, 5.0]))
-    assert np.array_equal(res["counts"][0], [[3, 7]] * 3)
-    assert np.array_equal(res["counts"][1], [[5, 5]] * 3)
+    assert np.array_equal(recorded(res)[0], [[3, 7]] * 3)
+    assert np.array_equal(recorded(res)[1], [[5, 5]] * 3)
     assert np.array_equal(res["events"], [0, 0])
     res = gillespie_batch(zero(2), counts0, seed=1, reps=np.arange(2),
                           phi=lambda m: m[..., 0], end=5.0)
@@ -302,6 +311,10 @@ def test_input_validation():
                         times=np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="recording grid"):
         gillespie_batch(zero(2), np.array([[3, 7]]), 0, np.arange(1))
+    # a negative count is no lattice point
+    with pytest.raises(InputError, match="nonnegative"):
+        gillespie_batch(constant(SYM2), np.array([[-1, 11]]), 0, np.arange(1),
+                        times=np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="reps must match"):
         gillespie_batch(zero(2), np.array([[3, 7]]), 0, np.arange(2),
                         times=np.array([0.0, 1.0]))
@@ -349,7 +362,7 @@ def test_time_average_exact_between_jumps():
                                times=fine)
     res_avg = gillespie_batch(model, counts0, seed=17, reps=np.arange(1),
                               phi=lambda m: m[..., 0], end=4.0)
-    manual = res_grid["counts"][0, :-1, 0].sum() * 1e-3 / 4.0
+    manual = recorded(res_grid)[0, :-1, 0].sum() * 1e-3 / 4.0
     assert res_avg["phi_avg"][0] == pytest.approx(manual, abs=2e-3)
 
 
@@ -366,18 +379,18 @@ def test_dead_rows_finish_in_the_main_step():
         full = gillespie_batch(model, counts0, seed, reps, **kw)
         halves = [gillespie_batch(model, counts0[s], seed, reps[s], **kw)
                   for s in (slice(0, R // 2), slice(R // 2, R))]
-        for k in ("counts", "phi_avg", "events"):
+        for k in ("states", "phi_avg", "events"):
             if full[k] is not None:
                 assert np.array_equal(
                     full[k], np.concatenate([h[k] for h in halves]))
         return full
 
     res = both_halves(times=np.linspace(0.0, 2.0, 9))
-    dead = np.all(res["counts"][:, -1] == final, axis=1)
+    dead = np.all(recorded(res)[:, -1] == final, axis=1)
     assert 0 < dead.sum() < R                 # rows die and rows live on
     for r in np.flatnonzero(dead):
-        first = np.argmax(np.all(res["counts"][r] == final, axis=1))
-        assert np.all(res["counts"][r, first:] == final)
+        first = np.argmax(np.all(recorded(res)[r] == final, axis=1))
+        assert np.all(recorded(res)[r, first:] == final)
     assert np.array_equal(res["events"][dead], counts0[dead, 0])
 
     # phi mode, some rows dying inside [burn, end] ...
@@ -386,3 +399,92 @@ def test_dead_rows_finish_in_the_main_step():
     res = both_halves(phi=lambda m: m[..., 1], burn=40.0, end=41.0)
     assert np.array_equal(res["phi_avg"], np.ones(R))
     assert np.array_equal(res["events"], counts0[:, 0])
+
+
+# SHA-256 of each case's recorded counts (int32) or phi averages, then its
+# event counts (int64), or of "message|repr(time)" for a region exit, as the
+# kernel that recomputed rates per row and event gave them
+PINNED = {
+    ("weak_interaction", "grid"):
+        "5452068a1697a13ae6576bdf6aff42fc5d6b5fd2ad41c6f1e42b80b68c4cc25a",
+    ("weak_interaction", "phi"):
+        "e9cd1a9a9ff43e20c207d4d56e60eec0aa2bf1e882f33f84ac51b002d1a41829",
+    ("constant_3", "grid"):
+        "3326061033050ef7c9baa4280380b12078b7254867d2d7e0748b8b7f87bf14f6",
+    ("constant_3", "phi"):
+        "2e01c0c4ae632a930d7eb7f3819225795b2f1c050150e9350162310a38946b10",
+    ("mean_field_3", "grid"):
+        "3c0969f614041f36370a31d3794a8a8d481f6277fae768029bceb8f3a7aedb55",
+    ("mean_field_3", "phi"):
+        "cfb03c5d90a1269eb13c5c6e2ac8c942ab2d444d95e7a4bb33dbf4157583c0e1",
+    ("absorbing", "grid"):
+        "317cefc4dd7130eaac0ee2c07d12011184dce7ba790f712a6b181db76752a70e",
+    ("absorbing", "phi"):
+        "84c85a12c6eedecda52acb0af332570d65a038da1f568169dd282ce45add635a",
+    # "empirical measure of replication 28 left the valid region of
+    # 'example_chaos' at t=0.00281119", in both modes
+    ("chaos", "grid"):
+        "493d756d1f7e5a56a77a13beafbd9f30bda14ff994a4b8f0f6f1a2d9a6d2ff72",
+    ("chaos", "phi"):
+        "493d756d1f7e5a56a77a13beafbd9f30bda14ff994a4b8f0f6f1a2d9a6d2ff72",
+}
+
+
+def counted_rates(model):
+    """The model with a rates function that counts its calls in calls[0]."""
+    calls = [0]
+
+    def rates(mu):
+        calls[0] += 1
+        return model.rates(mu)
+
+    return Model(name=model.name, d=model.d, rates=rates,
+                 valid_region=model.valid_region), calls
+
+
+@pytest.mark.parametrize("case, mode", sorted(PINNED))
+def test_kernel_bits_pinned_beyond_two_states(case, mode):
+    # d = 2, 3 and 4, a chain with dead rows and a region exit, in grid mode
+    # (with a repeated grid time) and phi mode; one rates call per run
+    model, mu0, N, R = {
+        "weak_interaction": (weak_interaction(), [0.9, 0.1], 20, 60),
+        "constant_3": (constant(np.array([[-1.0, 0.7, 0.3], [0.2, -0.5, 0.3],
+                                          [1.0, 1.0, -2.0]])),
+                       [0.5, 0.3, 0.2], 12, 40),
+        "mean_field_3": (mean_field_three_state(), [0.5, 0.3, 0.2], 15, 40),
+        "absorbing": (constant(np.array([[-1.0, 1.0], [0.0, 0.0]])),
+                      [0.7, 0.3], 3, 40),
+        "chaos": (example_chaos(), [0.25] * 4, 40, 30),
+    }[case]
+    kw = {"grid": dict(times=np.sort(np.r_[np.linspace(0.0, 3.0, 13), 1.25])),
+          "phi": dict(phi=lambda m: m[..., 0] ** 2 - m[..., -1], burn=0.5,
+                      end=3.0)}[mode]
+    model, calls = counted_rates(model)
+    seed, reps = 5, np.arange(7, 7 + R)
+    counts0 = sample_initial(mu0, N, seed, reps)
+    h = hashlib.sha256()
+    try:
+        res = gillespie_batch(model, counts0, seed, reps, **kw)
+    except DomainExitError as exc:
+        h.update(f"{exc}|{exc.time!r}".encode())
+    else:
+        h.update(np.ascontiguousarray(
+            recorded(res) if mode == "grid" else res["phi_avg"],
+            dtype=np.int32 if mode == "grid" else np.float64))
+        h.update(np.ascontiguousarray(res["events"], dtype=np.int64))
+        assert res["events"].sum() > 0
+    assert h.hexdigest() == PINNED[case, mode]
+    assert calls[0] == 1
+
+
+def test_lattice_above_max_refused_before_any_rates_call():
+    # d = 4 and N = 200: C(203, 3) = 1 373 701 states
+    model, calls = counted_rates(constant(np.ones((4, 4)) - 4 * np.eye(4)))
+    assert 1_373_701 > MAX_LATTICE
+    for kw in ({"times": np.array([0.0, 1.0])},
+               {"phi": lambda m: m[..., 0], "end": 1.0}):
+        with pytest.raises(InputError, match="1373701 states, more than"
+                                             " MAX_LATTICE"):
+            gillespie_batch(model, np.array([[50, 50, 50, 50]]), 0,
+                            np.arange(1), **kw)
+    assert calls[0] == 0

@@ -1,3 +1,6 @@
+from itertools import product
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,9 +12,11 @@ from mfchain.simplex import (
     as_measure,
     as_tangent,
     barycenter,
+    count_lattice,
     dirac,
     entropy_field,
     functional_derivative_all,
+    lattice_index,
     linear_field,
     make_observable,
     quadratic_field,
@@ -189,6 +194,24 @@ def test_simplex_lattice():
     assert order == sorted(order)
     assert np.array_equal(lat[0], [0.0, 0.0, 1.0])
     assert np.array_equal(lat[-1], [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 9), (3, 12), (4, 8), (5, 4)])
+def test_count_lattice_and_its_index(d, n):
+    # every count vector once, in lexicographic order, each at its index
+    lat = count_lattice(d, n)
+    brute = [k for k in product(range(n + 1), repeat=d) if sum(k) == n]
+    assert lat.dtype == np.int32 and len(lat) == comb(n + d - 1, d - 1)
+    assert [tuple(k) for k in lat] == brute             # product is lex order
+    assert np.array_equal(lattice_index(lat), np.arange(len(lat)))
+    # any leading shape; a one-step move lands on its own row
+    assert np.array_equal(lattice_index(lat[::-1].reshape(-1, 1, d)),
+                          np.arange(len(lat))[::-1, None])
+    if n > 0:
+        k = lat[-1].copy()
+        k[0], k[-1] = k[0] - 1, k[-1] + 1
+        assert np.array_equal(lat[lattice_index(k)], k)
+    assert np.array_equal(simplex_lattice(d, n), lat / n)
 
 
 def test_make_observable():
