@@ -71,7 +71,10 @@ def flow(model):
                                    step=harness.run_step(cfg))
         return master_residual_scan(obs, harness.master_cases(cfg, model, 0)[0])
     dec = estimate_decay(model, seed=0)
-    return np.concatenate([[dec.rate, dec.c2], dec.per_sample_rates])
+    if not isinstance(dec, dict):           # a root that returns a dataclass
+        dec = {"lambda": dec.rate, "c2": dec.c2,
+               "per_sample_rates": dec.per_sample_rates}
+    return np.concatenate([[dec["lambda"], dec["c2"]], dec["per_sample_rates"]])
 
 def measure_flow():
     model = getattr(models, name[6:] if name.startswith("decay_") else "example_slow_conv")()
@@ -99,9 +102,7 @@ def measure_kernel():
         t0 = time.perf_counter()
         res = particles.gillespie_batch(model, counts0, 12345, reps, times=times)
         rate[f"events_per_s_N{N}"] = int(res["events"].sum()) / (time.perf_counter() - t0)
-        # the recorded counts, as (R, T, d) or as lattice rows (R, T)
-        counts.append(res["counts"] if "counts" in res
-                      else res["lattice"][res["states"]])
+        counts.append(res["lattice"][res["states"]])       # (R, T, d)
     return rate, {"digest": digest(*counts)}
 
 def measure_mc_grid(threads):

@@ -40,8 +40,6 @@ from .kolmogorov import (                                     # noqa: E402
     stationary_distribution,
 )
 from .linearized import (                                     # noqa: E402
-    DecayEstimate,
-    ErgodicityReport,
     check_condition1,
     check_condition2,
     dm_dmeasure,
@@ -75,9 +73,8 @@ __all__ = [
     "zero",
     "flow_map", "make_grid", "solve_flow", "solve_kolmogorov",
     "stationary_distribution",
-    "DecayEstimate", "ErgodicityReport", "check_condition1",
-    "check_condition2", "dm_dmeasure", "estimate_decay", "m1",
-    "margin_matrix", "nonlinear_contraction_rate",
+    "check_condition1", "check_condition2", "dm_dmeasure", "estimate_decay",
+    "m1", "margin_matrix", "nonlinear_contraction_rate",
     "PropagatedObservable", "dU_dmeasure_all", "eval_U",
     "master_residual_scan", "tau_remainder",
     "gillespie_batch", "initial_counts", "mc_observable", "sample_initial",

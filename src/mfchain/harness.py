@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,9 +36,10 @@ from .kolmogorov import (
 from .linearized import check_condition1, check_condition2, estimate_decay
 from .master import PropagatedObservable, master_residual_scan
 from .models import Model, make_model
-from .particles import (check_lattice, gillespie_batch, initial_counts,
-                        mc_moments, mc_observable, sample_initial, simulate)
-from .simplex import ScalarField, as_measure, barycenter, make_observable
+from .particles import (gillespie_batch, initial_counts, mc_moments,
+                        mc_observable, sample_initial, simulate)
+from .simplex import (ScalarField, as_measure, barycenter, check_lattice,
+                      make_observable)
 
 EXIT_PASS = 0
 EXIT_INCONCLUSIVE = 2
@@ -121,11 +121,11 @@ def cfg_replications(cfg: dict, key: str, default: int) -> int:
     return R
 
 
-def cfg_particles(cfg: dict, key: str, default, model: Model,
-                  single: bool = False) -> list:
-    """The key's particle counts (one int if single, else a comma list):
-    each N >= 1, with a count lattice of at most particles.MAX_LATTICE
-    states at the model's d."""
+def cfg_lattice(cfg: dict, key: str, default, model: Model,
+                single: bool = False) -> list:
+    """The key's count-lattice totals, particle counts N or a condition-2
+    resolution (one int if single, else a comma list): each >= 1, with a
+    count lattice of at most simplex.MAX_LATTICE points at the model's d."""
     Ns = [cfg_int(cfg, key, default)] if single else cfg_ints(cfg, key, default)
     for N in Ns:
         try:
@@ -249,26 +249,24 @@ def master_cases(cfg: dict, model: Model, seed: int) -> tuple:
 
 
 def decay_probe(model: Model, cfg: dict, seed: int) -> dict:
-    """The linearized decay fit as a report record.
+    """The decay record of estimate_decay at the decay.* settings.
 
     A probe that leaves the model's valid region is evidence, not a crash:
-    it is recorded as flagged, with null lambda and c2 and the exit in note.
-    The reported horizon is the probe grid's last time.
+    it is recorded with the same keys, flagged, with null lambda, c2 and
+    per_sample_rates and the exit in note.  The horizon is the probe grid's
+    last time.
     """
     horizon = cfg_float(cfg, "decay.horizon", 20.0)
     spacing = cfg_float(cfg, "decay.spacing", 0.25)
-    end = float(make_grid(horizon, spacing)[-1])
     try:
-        dec = estimate_decay(model, horizon=horizon, spacing=spacing,
-                             n_random=cfg_int(cfg, "decay.random", 8),
-                             seed=seed, step=run_step(cfg))
+        return estimate_decay(model, horizon=horizon, spacing=spacing,
+                              n_random=cfg_int(cfg, "decay.random", 8),
+                              seed=seed, step=run_step(cfg))
     except DomainExitError as exc:
         return {"lambda": None, "c2": None, "per_sample_rates": None,
-                "flagged": True, "horizon": end,
+                "flagged": True,
+                "horizon": float(make_grid(horizon, spacing)[-1]),
                 "note": f"decay probe: {exc}"}
-    return {"lambda": dec.rate, "c2": dec.c2,
-            "per_sample_rates": dec.per_sample_rates,
-            "flagged": dec.flagged, "horizon": end, "note": dec.note}
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +383,15 @@ def mc_verdict(Ns, effects, halves, R: int) -> dict:
 def certification_bundle(model: Model, cfg: dict, seed: int) -> dict:
     c1 = check_condition1(model, n_pairs=cfg_int(cfg, "certify.pairs", 10_000),
                           seed=seed)
-    c2 = check_condition2(model, resolution=cfg_int(cfg, "certify.resolution", 0)
-                          if "certify.resolution" in cfg else None)
+    res = None
+    if "certify.resolution" in cfg:
+        [res] = cfg_lattice(cfg, "certify.resolution", 0, model, single=True)
+    c2 = check_condition2(model, resolution=res)
     return {
-        "condition1": asdict(c1),
-        "condition2": asdict(c2),
+        "condition1": c1,
+        "condition2": c2,
         "decay": decay_probe(model, cfg, seed),
-        "certified": c1.verdict == "pass" or c2.verdict == "pass",
+        "certified": c1["verdict"] == "pass" or c2["verdict"] == "pass",
     }
 
 
@@ -403,7 +403,7 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
                    force: bool = False) -> dict:
     model = model_from_config(cfg)
     R = cfg_replications(cfg, "run.R", 20_000)
-    Ns = cfg_particles(cfg, "run.Ns", "8,16,32,64,128,256", model)
+    Ns = cfg_lattice(cfg, "run.Ns", "8,16,32,64,128,256", model)
     phi = observable_from_config(cfg, model)
     mu0 = initial_measure(cfg, model)
     times = run_grid(cfg)
@@ -524,7 +524,7 @@ def run_stationary_gap(cfg: dict, out: str, seed: int, threads: int = 1,
                              f" got {burn}")
         _check_gap_end(burn, window)
     R = cfg_replications(cfg, "gap.R", 400)
-    Ns = cfg_particles(cfg, "gap.Ns", "10,100,1000", model)
+    Ns = cfg_lattice(cfg, "gap.Ns", "10,100,1000", model)
     nu, info = stationary_search(cfg, model)
     phi = observable_from_config(cfg, model, nu)
     decay = decay_probe(model, cfg, seed)
@@ -655,7 +655,7 @@ def run_solve(cfg: dict, out: str, seed: int, threads: int = 1,
 def run_simulate(cfg: dict, out: str, seed: int, threads: int = 1,
                  force: bool = False) -> dict:
     model = model_from_config(cfg)
-    [N] = cfg_particles(cfg, "run.N", 100, model, single=True)
+    [N] = cfg_lattice(cfg, "run.N", 100, model, single=True)
     R = cfg_int(cfg, "run.R", 1)
     if R < 1:
         raise InputError(f"config key run.R: need at least one replication,"

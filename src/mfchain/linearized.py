@@ -21,11 +21,16 @@ Two checkable sufficient conditions for uniform exponential decay of q:
      rates;
   2. positivity of the off-diagonal entries of A(mu) for every mu, checked
      on a simplex lattice ("grid-certified").
+
+The checks return their report records as plain dicts, which the harness
+writes as they are: check_condition1 and check_condition2 the certificate
+record {"condition", "verdict" ("pass" | "fail" | "inconclusive"),
+"margin", "witness", "resolution", "estimated_constants",
+"certification", "notes"}, and estimate_decay the decay record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -34,7 +39,8 @@ from . import rng
 from .errors import InputError
 from .kolmogorov import DEFAULT_STEP, make_grid, solve_flow
 from .models import MARGIN_ROWS, Model, estimate_lipschitz, margin_matrix
-from .simplex import as_measure, barycenter, dirac, simplex_lattice
+from .simplex import (as_measure, barycenter, check_lattice, dirac,
+                      simplex_lattice)
 
 
 def m1(model: Model, t: float, mu, nu, step: float = DEFAULT_STEP) -> np.ndarray:
@@ -56,17 +62,6 @@ def dm_dmeasure(
 
 # ---------------------------------------------------------------------------
 # decay-rate estimation
-
-
-@dataclass
-class DecayEstimate:
-    rate: float                 # lambda-hat: smallest per-sample decay rate
-    c2: float                   # max |q(t)|_1 * exp(rate * t) over everything
-    per_sample_rates: np.ndarray
-    flagged: bool               # True when no exponential decay was observed
-    horizon: float              # last time of the fit grid
-    n_samples: int
-    note: str = ""
 
 
 def _fit_window(horizon: float, spacing: float) -> tuple:
@@ -101,15 +96,18 @@ def estimate_decay(
     n_random: int = 8,
     seed: int = 0,
     step: float = DEFAULT_STEP,
-) -> DecayEstimate:
-    """Empirical exponential decay rate of the linearized flow.
+) -> dict:
+    """Empirical exponential decay rate of the linearized flow, as the
+    decay record of a report.
 
     Integrates a full tangent frame (q0 = delta_z - mu for every z) from the
     barycenter, small perturbations of it toward each vertex, and random
     interior measures; fits log |q(t)|_1 over the last half of the recording
-    grid by least squares.  rate <= 0 is reported with flagged=True.  The
-    reported horizon is the grid's last time, which may fall short of the
-    horizon argument by less than one spacing.
+    grid by least squares.  Returns {"lambda": the smallest per-sample rate,
+    "c2": max |q(t)|_1 exp(lambda t) over everything, "per_sample_rates",
+    "flagged": True when lambda <= 0 (no exponential decay observed),
+    "horizon", "note"}.  The horizon is the grid's last time, which may fall
+    short of the horizon argument by less than one spacing.
     """
     if n_random < 0:
         raise InputError(f"need n_random >= 0 random probes, got {n_random}")
@@ -149,15 +147,8 @@ def estimate_decay(
         c2 = max(c2, float(grow.max()))
     flagged = not rate > 0.0
     note = "" if not flagged else "no exponential decay on the probe set"
-    return DecayEstimate(
-        rate=rate,
-        c2=c2,
-        per_sample_rates=rates,
-        flagged=flagged,
-        horizon=float(times[-1]),
-        n_samples=B,
-        note=note,
-    )
+    return {"lambda": rate, "c2": c2, "per_sample_rates": rates,
+            "flagged": flagged, "horizon": float(times[-1]), "note": note}
 
 
 def nonlinear_contraction_rate(
@@ -192,22 +183,11 @@ def nonlinear_contraction_rate(
 # certificates
 
 
-@dataclass
-class ErgodicityReport:
-    condition: int
-    verdict: str                # "pass" | "fail" | "inconclusive"
-    margin: float
-    witness: Optional[dict] = None
-    resolution: Optional[int] = None
-    estimated_constants: dict = field(default_factory=dict)
-    certification: str = ""
-    notes: str = ""
-
-
 def check_condition1(
     model: Model, n_pairs: int = 10_000, seed: int = 0
-) -> ErgodicityReport:
-    """Small-interaction certificate: K < L / d."""
+) -> dict:
+    """Small-interaction certificate: K < L / d, as a certificate record
+    (see the module docstring) with null witness and resolution."""
     if n_pairs < 1:
         raise InputError(f"need n_pairs >= 1, got {n_pairs}")
     notes = []
@@ -225,23 +205,24 @@ def check_condition1(
         notes.append(f"L estimated from {n_pairs} sampled measures")
     margin = L / model.d - K
     verdict = "pass" if margin > 0 else "fail"
-    return ErgodicityReport(
-        condition=1,
-        verdict=verdict,
-        margin=float(margin),
-        estimated_constants={"L": float(L), "K": float(K)},
-        certification="sampled" if notes else "declared-constants",
-        notes="; ".join(notes),
-    )
+    return {
+        "condition": 1,
+        "verdict": verdict,
+        "margin": float(margin),
+        "witness": None,
+        "resolution": None,
+        "estimated_constants": {"L": float(L), "K": float(K)},
+        "certification": "sampled" if notes else "declared-constants",
+        "notes": "; ".join(notes),
+    }
 
 
-def check_condition2(
-    model: Model, resolution: Optional[int] = None
-) -> ErgodicityReport:
+def check_condition2(model: Model, resolution: Optional[int] = None) -> dict:
     """Positivity of the linearization's off-diagonal entries on a lattice.
 
     Scans the simplex lattice (resolution 50 for d <= 3, else 15, unless
-    given) in lexicographic order and keeps the first strictly-smallest
+    given; refused above MAX_LATTICE points) in lexicographic order and
+    keeps the first strictly-smallest
     margin as witness.  verdict: "pass" (grid-certified) when the minimum is
     > 0, "fail" when < 0, "inconclusive" at exactly 0.  The check has no
     constants of its own, and it bounds nothing between lattice points: the
@@ -249,6 +230,7 @@ def check_condition2(
     """
     d = model.d
     res = (50 if d <= 3 else 15) if resolution is None else int(resolution)
+    check_lattice(res, d)
     lattice = simplex_lattice(d, res)
     inside = model.valid_region.contains(lattice)
     lattice = lattice[inside]
@@ -274,17 +256,13 @@ def check_condition2(
     else:
         verdict = "inconclusive"
 
-    return ErgodicityReport(
-        condition=2,
-        verdict=verdict,
-        margin=float(best),
-        witness={
-            "mu": [float(v) for v in best_mu],
-            "x": x + 1,
-            "y": y + 1,
-        },
-        resolution=res,
-        estimated_constants={},
-        certification="grid-certified" if verdict == "pass" else "grid-scan",
-        notes=f"lattice minimum over {len(lattice)} points",
-    )
+    return {
+        "condition": 2,
+        "verdict": verdict,
+        "margin": float(best),
+        "witness": {"mu": [float(v) for v in best_mu], "x": x + 1, "y": y + 1},
+        "resolution": res,
+        "estimated_constants": {},
+        "certification": "grid-certified" if verdict == "pass" else "grid-scan",
+        "notes": f"lattice minimum over {len(lattice)} points",
+    }

@@ -399,10 +399,7 @@ def _probe_rates(model: Model) -> None:
 
 register_model("weak_interaction", weak_interaction)
 register_model("example_non_erg", example_non_erg)
-register_model("non_erg", example_non_erg)
 register_model("example_slow_conv", example_slow_conv)
-register_model("slow_conv", example_slow_conv)
 register_model("example_chaos", example_chaos)
-register_model("chaos", example_chaos)
 register_model("constant", constant)
 register_model("zero", zero)

@@ -17,7 +17,8 @@ These depend only on the lattice point, so each gillespie_batch call
 tabulates them once: one model.rates call on every point inside the valid
 region gives each point's running totals and Lambda, beside its region flag,
 phi (in phi mode) and the point each pair's jump leads to.  An event is then
-a few table lookups.  Lattices above MAX_LATTICE points are refused.
+a few table lookups.  Lattices above simplex.MAX_LATTICE points are
+refused, and so are NaN, infinite or negative off-diagonal rates.
 Replications run in lockstep as batched array rows, each driven by its own
 counter-based random stream, so results are independent of batching,
 chunking, and worker count.
@@ -46,7 +47,6 @@ weak-error both call it.  Results are plain arrays: simulate returns
 
 from __future__ import annotations
 
-import math
 from itertools import accumulate
 from typing import Callable, Optional
 
@@ -56,11 +56,10 @@ from . import rng
 from .errors import DomainExitError, InputError, SolverError
 from .kolmogorov import as_grid
 from .models import Model
-from .simplex import as_measure, count_lattice, lattice_index
+from .simplex import as_measure, check_lattice, count_lattice, lattice_index
 
 CHUNK = 5000
 MAX_EVENTS = 10**9         # per replication; more means a runaway simulation
-MAX_LATTICE = 2**18        # lattice points one gillespie_batch call tabulates
 _WAIT_CAT = np.array([[0], [1]], dtype=np.uint64)    # draw offsets 2k, 2k + 1
 
 
@@ -96,19 +95,6 @@ def initial_counts(mu0, N: int, R: int, seed: int) -> np.ndarray:
         lambda lo, hi: sample_initial(mu0, N, seed,
                                       np.arange(lo, hi, dtype=np.uint64)),
         R), axis=0)
-
-
-def check_lattice(N: int, d: int) -> int:
-    """The number of count vectors of N particles on d states; refuses
-    N < 1 and lattices of more than MAX_LATTICE states."""
-    if N < 1:
-        raise InputError(f"need N >= 1 particles, got {N}")
-    size = math.comb(N + d - 1, d - 1)
-    if size > MAX_LATTICE:
-        raise InputError(f"N = {N} particles on d = {d} states make a count"
-                         f" lattice of {size} states, more than MAX_LATTICE"
-                         f" = {MAX_LATTICE}")
-    return size
 
 
 @np.errstate(divide="ignore", invalid="ignore")     # dead rows, see below
@@ -175,6 +161,13 @@ def gillespie_batch(
     check_region = not inside.all()
     A = np.zeros((S, d, d))
     A[inside] = model.rates(mu[inside])
+    # a NaN or infinite rate would keep a row from ever crossing a grid time
+    ok = ((A >= 0.0) & (A < np.inf)) | np.eye(d, dtype=bool)
+    if not ok.all():
+        bad = int(np.argmin(ok.all(axis=(1, 2))))
+        raise InputError(f"model {model.name!r} at {mu[bad].tolist()}: need"
+                         f" finite off-diagonal rates >= 0, got"
+                         f" {A[bad].tolist()}")
     pairs = [(x, y) for x in range(d) for y in range(d) if x != y]
     running = list(accumulate(lattice[:, x] * A[:, x, y] for x, y in pairs))
     lam, below = running[-1], running[:-1]

@@ -18,6 +18,7 @@ analytic fields below use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -29,6 +30,9 @@ SUM_TOL = 1e-12
 
 #: default one-sided finite-difference step for the chord derivative
 FD_EPS = 1e-6
+
+#: points of the largest count lattice that is built (see check_lattice)
+MAX_LATTICE = 2**18
 
 
 def as_measure(weights) -> np.ndarray:
@@ -44,7 +48,8 @@ def as_measure(weights) -> np.ndarray:
         raise InputError(f"measure has negative or NaN entries: {w.tolist()}")
     s = w.sum()
     if abs(s - 1.0) > SUM_TOL:
-        raise InputError(f"measure weights sum to {s!r}, not 1 (tol {SUM_TOL})")
+        raise InputError(f"measure weights sum to {float(s)!r}, not 1"
+                         f" (tol {SUM_TOL})")
     return w / s
 
 
@@ -140,6 +145,20 @@ def simpson_weights(n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # lattice
+
+
+def check_lattice(n: int, d: int) -> int:
+    """The number of points of count_lattice(d, n), C(n + d - 1, d - 1);
+    refuses n < 1 and lattices of more than MAX_LATTICE points, before
+    anything is allocated.  The particle kernel (n particles) and the
+    condition-2 scan (resolution n) call it."""
+    if n < 1:
+        raise InputError(f"need a lattice total n >= 1, got {n}")
+    size = math.comb(n + d - 1, d - 1)
+    if size > MAX_LATTICE:
+        raise InputError(f"count_lattice(d = {d}, n = {n}) has {size} states,"
+                         f" more than MAX_LATTICE = {MAX_LATTICE}")
+    return size
 
 
 def count_lattice(d: int, n: int) -> np.ndarray:

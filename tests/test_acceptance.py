@@ -89,15 +89,15 @@ def test_criterion_02_rest_points_and_failure_witness():
         worst = max(worst, float(np.abs(mu @ model.rates(mu)).sum()))
     rep = check_condition2(model)
     witness_ok = (
-        rep.verdict == "fail"
-        and rep.margin <= -0.9
-        and rep.witness["mu"] == [0.5, 0.5]
-        and (rep.witness["x"], rep.witness["y"]) == (1, 2)
+        rep["verdict"] == "fail"
+        and rep["margin"] <= -0.9
+        and rep["witness"]["mu"] == [0.5, 0.5]
+        and (rep["witness"]["x"], rep["witness"]["y"]) == (1, 2)
     )
     ok = worst < 1e-12 and witness_ok
     announce(2, ok, f"max |drift|_1 at rest points {worst:.1e}; "
-                    f"condition-2 {rep.verdict}, margin {rep.margin:.3f} at "
-                    f"mu={rep.witness['mu']}, (x,y)=({rep.witness['x']},{rep.witness['y']})")
+                    f"condition-2 {rep['verdict']}, margin {rep['margin']:.3f} at "
+                    f"mu={rep['witness']['mu']}, (x,y)=({rep['witness']['x']},{rep['witness']['y']})")
     assert worst < 1e-12
     assert witness_ok
 
@@ -292,10 +292,10 @@ def test_criterion_08_master_equation_residuals():
 def test_criterion_09_decay_rates_agree():
     est = estimate_decay(weak_interaction())
     nl = nonlinear_contraction_rate(weak_interaction())
-    rel = abs(est.rate - nl) / abs(nl)
-    const_rate = estimate_decay(constant(SYM2)).rate
+    rel = abs(est["lambda"] - nl) / abs(nl)
+    const_rate = estimate_decay(constant(SYM2))["lambda"]
     ok = rel <= 0.2 and abs(const_rate - 2.0) <= 0.1
-    announce(9, ok, f"linearized {est.rate:.4f} vs nonlinear {nl:.4f} "
+    announce(9, ok, f"linearized {est['lambda']:.4f} vs nonlinear {nl:.4f} "
                     f"(rel diff {rel:.1%}); constant-chain rate {const_rate:.4f}")
     assert rel <= 0.2
     assert abs(const_rate - 2.0) <= 0.1

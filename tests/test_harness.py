@@ -26,10 +26,13 @@ from mfchain.harness import (
     observable_from_config,
     parse_config_text,
     report_envelope,
+    to_builtin,
     write_csv,
     write_json,
 )
 from mfchain.kolmogorov import make_grid, solve_flow, stationary_distribution
+from mfchain.linearized import check_condition1, check_condition2, estimate_decay
+from mfchain.models import example_chaos, weak_interaction
 from mfchain.particles import sample_initial
 
 
@@ -374,6 +377,10 @@ MALFORMED = [
     "stationary-gap --model.name=constant --model.Q=-1,1;1,-1 --gap.window=0",
     "stationary-gap --model.name=constant --model.Q=-1,1;1,-1 --gap.window=-5",
     "stationary-gap --model.name=constant --model.Q=-1,1;1,-1 --gap.window=nan",
+    # a condition-2 lattice above MAX_LATTICE: a 37 GiB allocation used to
+    # end in a raw memory error
+    "certify --model.name=constant --model.Q=-1,0.5,0.5;0.5,-1,0.5;0.5,0.5,-1"
+    " --certify.resolution=100000",
 ]
 
 
@@ -494,6 +501,45 @@ def test_vector_keys_refuse_non_finite_entries(setting, key, tmp_path, capfd):
     err = capfd.readouterr().err
     assert err.startswith(f"mfchain: error: config key {key}:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("res", ["0", "1000"])
+def test_certify_resolution_refused_in_config_terms(res, tmp_path, capfd):
+    # d = 3: resolution 1000 makes 501 501 lattice points, above MAX_LATTICE
+    assert main(["certify", "--model.name=constant",
+                 "--model.Q=-1,0.5,0.5;0.5,-1,0.5;0.5,0.5,-1",
+                 f"--certify.resolution={res}", "--out", str(tmp_path / "o")]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("mfchain: error: config key certify.resolution:")
+    assert err.count("\n") == 1
+
+
+def test_certify_reports_the_library_records(tmp_path):
+    # condition1, condition2 and decay in report.json are what the checks
+    # return, through a JSON round trip: the harness copies no field
+    out = tmp_path / "w"
+    assert main(["certify", "--model.name=weak_interaction", "--seed=7",
+                 "--decay.horizon=6", "--certify.pairs=50",
+                 "--certify.resolution=5", "--out", str(out)]) == 0
+    rep = json.load(open(out / "report.json"))
+    model = weak_interaction()
+    library = {
+        "condition1": check_condition1(model, n_pairs=50, seed=7),
+        "condition2": check_condition2(model, resolution=5),
+        "decay": estimate_decay(model, horizon=6.0, seed=7),
+    }
+    assert {k: rep[k] for k in library} == json.loads(
+        json.dumps(to_builtin(library)))
+
+
+def test_flagged_and_fitted_decay_records_share_their_keys():
+    # a probe that leaves the valid region (example_chaos) is recorded with
+    # the six keys of a fitted one
+    flagged = harness.decay_probe(example_chaos(), {}, 0)
+    fitted = harness.decay_probe(weak_interaction(), {"decay.horizon": "6"}, 0)
+    assert flagged["flagged"] and not fitted["flagged"]
+    assert list(flagged) == list(fitted) == [
+        "lambda", "c2", "per_sample_rates", "flagged", "horizon", "note"]
 
 
 def test_cli_certify_chaos_records_region_exit(tmp_path):
@@ -856,7 +902,7 @@ def test_readme_library_tour_runs():
         ns: dict = {}
         exec(compile(block, str(readme), "exec"), ns)
     assert np.allclose(ns["nu"], [0.5, 0.5])
-    assert ns["dec"].rate == pytest.approx(2.0, abs=0.05)
+    assert ns["dec"]["lambda"] == pytest.approx(2.0, abs=0.05)
     assert ns["states"].shape == (81, 2)
     assert ns["counts"].shape == (81, 2) and np.all(ns["counts"].sum(axis=1) == 100)
     assert ns["n_events"] > 0

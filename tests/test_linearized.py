@@ -1,10 +1,10 @@
 import warnings
-from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given
 
+from mfchain import linearized
 from mfchain.errors import InputError
 from mfchain.linearized import (
     check_condition1,
@@ -143,11 +143,10 @@ def test_m1_matches_chord_finite_difference():
 
 def test_estimate_decay_weak_interaction():
     est = estimate_decay(weak_interaction(), horizon=6.0)
-    assert not est.flagged
-    assert est.rate == pytest.approx(2.0, abs=0.05)
-    assert est.c2 >= 1.0
-    assert est.n_samples == 1 + 2 + 8
-    assert len(est.per_sample_rates) == est.n_samples
+    assert not est["flagged"]
+    assert est["lambda"] == pytest.approx(2.0, abs=0.05)
+    assert est["c2"] >= 1.0
+    assert len(est["per_sample_rates"]) == 1 + 2 + 8
 
 
 def test_estimate_decay_horizon_is_the_last_grid_time():
@@ -156,28 +155,28 @@ def test_estimate_decay_horizon_is_the_last_grid_time():
     est = estimate_decay(weak_interaction(), horizon=1, spacing=0.3)
     times = make_grid(1, 0.3)
     assert times[-1] == pytest.approx(0.9)
-    assert est.horizon == times[-1]
+    assert est["horizon"] == times[-1]
 
 
 def test_estimate_decay_constant_chain():
     est = estimate_decay(constant(SYM2), horizon=6.0)
-    assert not est.flagged
-    assert est.rate == pytest.approx(2.0, abs=0.02)
+    assert not est["flagged"]
+    assert est["lambda"] == pytest.approx(2.0, abs=0.02)
 
 
 def test_estimate_decay_flags_unstable_rest_point():
     # the barycenter is an unstable rest point with outward rate 2, so the
     # tangent frame grows and the fitted decay rate is -2
     est = estimate_decay(example_non_erg(), horizon=6.0)
-    assert est.flagged
-    assert est.rate == pytest.approx(-2.0, abs=0.1)
-    assert est.note != ""
+    assert est["flagged"]
+    assert est["lambda"] == pytest.approx(-2.0, abs=0.1)
+    assert est["note"] != ""
 
 
 def test_estimate_decay_slow_conv_no_exponential_rate():
     # polynomial convergence: the fitted exponential rate collapses to ~0
     est = estimate_decay(example_slow_conv(), horizon=20.0, n_random=4)
-    assert est.rate == pytest.approx(0.0, abs=0.05)
+    assert est["lambda"] == pytest.approx(0.0, abs=0.05)
 
 
 def test_nonlinear_contraction_rate_weak():
@@ -210,41 +209,55 @@ def test_nonlinear_contraction_rate_needs_a_pair(n_pairs):
 
 def test_condition1_weak_interaction():
     rep = check_condition1(weak_interaction())
-    assert rep.verdict == "pass"
-    assert rep.margin == pytest.approx(0.25)      # L/d - K = 1/2 - 1/4
-    assert rep.certification == "declared-constants"
-    assert rep.estimated_constants == {"L": 1.0, "K": 0.25}
+    assert rep["verdict"] == "pass"
+    assert rep["margin"] == pytest.approx(0.25)      # L/d - K = 1/2 - 1/4
+    assert rep["certification"] == "declared-constants"
+    assert rep["estimated_constants"] == {"L": 1.0, "K": 0.25}
 
 
 def test_condition1_non_erg_fails():
     rep = check_condition1(example_non_erg())
-    assert rep.verdict == "fail"
-    assert rep.margin < 0
-    assert "estimated" in rep.notes
+    assert rep["verdict"] == "fail"
+    assert rep["margin"] < 0
+    assert "estimated" in rep["notes"]
 
 
 def test_condition2_weak_interaction_certified():
     rep = check_condition2(weak_interaction())
-    assert rep.verdict == "pass"
-    assert rep.certification == "grid-certified"
-    assert rep.margin == pytest.approx(1.0, abs=1e-9)
-    assert rep.resolution == 50
+    assert rep["verdict"] == "pass"
+    assert rep["certification"] == "grid-certified"
+    assert rep["margin"] == pytest.approx(1.0, abs=1e-9)
+    assert rep["resolution"] == 50
 
 
 def test_condition2_non_erg_witness():
     rep = check_condition2(example_non_erg())
-    assert rep.verdict == "fail"
-    assert rep.margin <= -0.9
-    assert rep.margin == pytest.approx(-1.0, abs=1e-9)
-    assert rep.witness["mu"] == [0.5, 0.5]
-    assert (rep.witness["x"], rep.witness["y"]) == (1, 2)   # 1-based labels
-    assert rep.certification == "grid-scan"
+    assert rep["verdict"] == "fail"
+    assert rep["margin"] <= -0.9
+    assert rep["margin"] == pytest.approx(-1.0, abs=1e-9)
+    assert rep["witness"]["mu"] == [0.5, 0.5]
+    assert (rep["witness"]["x"], rep["witness"]["y"]) == (1, 2)   # 1-based labels
+    assert rep["certification"] == "grid-scan"
 
 
 def test_condition2_slow_conv_inconclusive():
     rep = check_condition2(example_slow_conv())
-    assert rep.verdict == "inconclusive"
-    assert rep.margin == 0.0
+    assert rep["verdict"] == "inconclusive"
+    assert rep["margin"] == 0.0
+
+
+def test_condition2_refuses_a_lattice_above_max_before_building_it(
+        monkeypatch):
+    # d = 3 at resolution 1000: C(1002, 2) = 501 501 points; resolution
+    # 100 000 used to end in a 37 GiB allocation from count_lattice
+    monkeypatch.setattr(linearized, "simplex_lattice",
+                        lambda *a: pytest.fail("lattice built"))
+    Q = np.full((3, 3), 0.5) - 1.5 * np.eye(3)
+    for res in (1000, 100_000):
+        with pytest.raises(InputError, match=f"count_lattice\\(d = 3, n = {res}\\)"
+                                             " has [0-9]+ states, more than"
+                                             " MAX_LATTICE"):
+            check_condition2(constant(Q), resolution=res)
 
 
 def test_report_json_schema():
@@ -254,8 +267,8 @@ def test_report_json_schema():
         "condition", "verdict", "margin", "witness", "resolution",
         "estimated_constants", "certification", "notes",
     }
-    d1 = asdict(check_condition1(weak_interaction()))
-    d2 = asdict(check_condition2(weak_interaction()))
+    d1 = check_condition1(weak_interaction())
+    d2 = check_condition2(weak_interaction())
     assert set(d1) == keys and set(d2) == keys
     assert set(d1["estimated_constants"]) == {"K", "L"}
     assert d2["estimated_constants"] == {}

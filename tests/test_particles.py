@@ -12,7 +12,6 @@ from mfchain.models import (Model, ValidRegion, constant, example_chaos,
                             weak_interaction, zero)
 from mfchain.particles import (
     CHUNK,
-    MAX_LATTICE,
     gillespie_batch,
     initial_counts,
     mc_moments,
@@ -21,6 +20,7 @@ from mfchain.particles import (
     sample_initial,
     simulate,
 )
+from mfchain.simplex import MAX_LATTICE
 from conftest import BAD_GRIDS
 
 SYM2 = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -488,3 +488,22 @@ def test_lattice_above_max_refused_before_any_rates_call():
             gillespie_batch(model, np.array([[50, 50, 50, 50]]), 0,
                             np.arange(1), **kw)
     assert calls[0] == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nan_or_infinite_rate_refused_before_any_event(bad):
+    # alpha_12 is bad for mu_1 > 0.7, a state the chain starting from (8, 2)
+    # is already in; a NaN total rate used to keep the row from ever
+    # crossing a grid time, so the kernel ran until killed
+    def rates(mu):
+        A = SYM2 * np.ones(mu.shape[:-1] + (1, 1))
+        A[..., 0, 1] = np.where(mu[..., 0] > 0.7, bad, 1.0)
+        return A
+
+    model = Model(name="bad_rate", d=2, rates=rates)
+    for kw in ({"times": np.array([0.0, 1.0])},
+               {"phi": lambda m: m[..., 0], "end": 1.0}):
+        with pytest.raises(InputError, match=r"model 'bad_rate' at \[0\.8,"
+                                             r" 0\.2\]: need finite"
+                                             r" off-diagonal rates >= 0"):
+            gillespie_batch(model, np.array([[8, 2]]), 0, np.arange(1), **kw)

@@ -29,7 +29,7 @@ from conftest import measure_strategy
 
 def test_as_measure_validation():
     assert np.allclose(as_measure([0.25, 0.75]), [0.25, 0.75])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"measure weights sum to 1\.1, not 1"):
         as_measure([0.5, 0.6])
     with pytest.raises(ValueError):
         as_measure([-0.1, 1.1])
