@@ -51,10 +51,9 @@ import numpy as np
 root, name = sys.argv[1], sys.argv[2]
 sys.path.insert(0, root + "/src")
 os.chdir(root)
-from mfchain import harness, models, particles
+from mfchain import harness, master, models, particles
 from mfchain.kolmogorov import make_grid, solve_flow
 from mfchain.linearized import estimate_decay
-from mfchain.master import PropagatedObservable, master_residual_scan
 
 def digest(*blobs):
     h = hashlib.sha256()
@@ -67,13 +66,13 @@ def flow(model):
         return solve_flow(model, [[1.0, 0.0]], make_grid(50.0, 0.25))[0][0]
     if name == "master_scan":
         cfg = harness.load_config("configs/master_check.cfg")
-        obs = PropagatedObservable(model, harness.observable_from_config(cfg, model),
-                                   step=harness.run_step(cfg))
-        return master_residual_scan(obs, harness.master_cases(cfg, model, 0)[0])
+        phi, step = harness.observable_from_config(cfg, model), harness.run_step(cfg)
+        cases = harness.master_cases(cfg, model, 0)[0]
+        if hasattr(master, "PropagatedObservable"):   # a root whose scan takes one
+            return master.master_residual_scan(
+                master.PropagatedObservable(model, phi, step=step), cases)
+        return master.master_residual_scan(model, phi, cases, step=step)
     dec = estimate_decay(model, seed=0)
-    if not isinstance(dec, dict):           # a root that returns a dataclass
-        dec = {"lambda": dec.rate, "c2": dec.c2,
-               "per_sample_rates": dec.per_sample_rates}
     return np.concatenate([[dec["lambda"], dec["c2"]], dec["per_sample_rates"]])
 
 def measure_flow():

@@ -33,7 +33,6 @@ from .models import (                                         # noqa: E402
     zero,
 )
 from .kolmogorov import (                                     # noqa: E402
-    flow_map,
     make_grid,
     solve_flow,
     solve_kolmogorov,
@@ -42,14 +41,12 @@ from .kolmogorov import (                                     # noqa: E402
 from .linearized import (                                     # noqa: E402
     check_condition1,
     check_condition2,
-    dm_dmeasure,
     estimate_decay,
     m1,
     margin_matrix,
     nonlinear_contraction_rate,
 )
 from .master import (                                         # noqa: E402
-    PropagatedObservable,
     dU_dmeasure_all,
     eval_U,
     master_residual_scan,
@@ -71,12 +68,10 @@ __all__ = [
     "Model", "ValidRegion", "constant", "example_chaos", "example_non_erg",
     "example_slow_conv", "make_model", "register_model", "weak_interaction",
     "zero",
-    "flow_map", "make_grid", "solve_flow", "solve_kolmogorov",
-    "stationary_distribution",
-    "check_condition1", "check_condition2", "dm_dmeasure", "estimate_decay",
-    "m1", "margin_matrix", "nonlinear_contraction_rate",
-    "PropagatedObservable", "dU_dmeasure_all", "eval_U",
-    "master_residual_scan", "tau_remainder",
+    "make_grid", "solve_flow", "solve_kolmogorov", "stationary_distribution",
+    "check_condition1", "check_condition2", "estimate_decay", "m1",
+    "margin_matrix", "nonlinear_contraction_rate",
+    "dU_dmeasure_all", "eval_U", "master_residual_scan", "tau_remainder",
     "gillespie_batch", "initial_counts", "mc_observable", "sample_initial",
     "simulate",
 ]

@@ -33,8 +33,9 @@ from .kolmogorov import (
     solve_kolmogorov,
     stationary_distribution,
 )
-from .linearized import check_condition1, check_condition2, estimate_decay
-from .master import PropagatedObservable, master_residual_scan
+from .linearized import (check_condition1, check_condition2,
+                         default_resolution, estimate_decay)
+from .master import master_residual_scan
 from .models import Model, make_model
 from .particles import (gillespie_batch, initial_counts, mc_moments,
                         mc_observable, sample_initial, simulate)
@@ -98,6 +99,14 @@ def cfg_float(cfg: dict, key: str, default: float) -> float:
 
 def cfg_int(cfg: dict, key: str, default: int) -> int:
     return _parsed(cfg, key, default, int)
+
+
+def cfg_positive(cfg: dict, key: str, default: float) -> float:
+    """The key's float, which must be finite and > 0."""
+    v = cfg_float(cfg, key, default)
+    if not 0 < v < np.inf:
+        raise InputError(f"config key {key}: need a finite value > 0, got {v}")
+    return v
 
 
 def cfg_str(cfg: dict, key: str, default: str) -> str:
@@ -273,27 +282,20 @@ def decay_probe(model: Model, cfg: dict, seed: int) -> dict:
 # reports
 
 
-def to_builtin(obj):
-    """Recursively convert numpy containers for JSON serialization."""
-    if isinstance(obj, dict):
-        return {str(k): to_builtin(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_builtin(v) for v in obj]
+def json_default(obj):
+    """The default= hook of json.dump for numpy values: an array as its
+    nested list, a numpy scalar as the Python number or bool it holds."""
     if isinstance(obj, np.ndarray):
-        return [to_builtin(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def config_hash(payload: dict) -> str:
     """Content hash of the canonical JSON, git blob style."""
-    blob = json.dumps(to_builtin(payload), sort_keys=True,
-                      separators=(",", ":")).encode()
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      default=json_default).encode()
     return hashlib.sha1(b"blob %d\0" % len(blob) + blob).hexdigest()
 
 
@@ -313,7 +315,7 @@ def report_envelope(command: str, cfg: dict, seed: int) -> dict:
 def write_json(path: str, obj: dict) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_builtin(obj), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=json_default)
         fh.write("\n")
 
 
@@ -381,11 +383,10 @@ def mc_verdict(Ns, effects, halves, R: int) -> dict:
 
 
 def certification_bundle(model: Model, cfg: dict, seed: int) -> dict:
+    [res] = cfg_lattice(cfg, "certify.resolution", default_resolution(model.d),
+                        model, single=True)
     c1 = check_condition1(model, n_pairs=cfg_int(cfg, "certify.pairs", 10_000),
                           seed=seed)
-    res = None
-    if "certify.resolution" in cfg:
-        [res] = cfg_lattice(cfg, "certify.resolution", 0, model, single=True)
     c2 = check_condition2(model, resolution=res)
     return {
         "condition1": c1,
@@ -513,10 +514,7 @@ def _check_gap_end(burn: float, window: float) -> None:
 def run_stationary_gap(cfg: dict, out: str, seed: int, threads: int = 1,
                        force: bool = False) -> dict:
     model = model_from_config(cfg)
-    window = cfg_float(cfg, "gap.window", 10.0)
-    if not 0 < window < np.inf:
-        raise InputError(f"config key gap.window: need a finite value > 0,"
-                         f" got {window}")
+    window = cfg_positive(cfg, "gap.window", 10.0)
     burn = cfg_float(cfg, "gap.burn", 0.0) if "gap.burn" in cfg else None
     if burn is not None:
         if not 0 <= burn < np.inf:
@@ -603,11 +601,10 @@ def run_certify(cfg: dict, out: str, seed: int, threads: int = 1,
 def run_master_check(cfg: dict, out: str, seed: int, threads: int = 1,
                      force: bool = False) -> dict:
     model = model_from_config(cfg)
+    tol = cfg_positive(cfg, "master.tol", 1e-8)
     phi = observable_from_config(cfg, model)
-    obs = PropagatedObservable(model, phi, step=run_step(cfg))
-    tol = cfg_float(cfg, "master.tol", 1e-8)
     cases, t_range = master_cases(cfg, model, seed)
-    residuals = master_residual_scan(obs, cases)
+    residuals = master_residual_scan(model, phi, cases, step=run_step(cfg))
     max_abs = float(np.max(np.abs(residuals)))
     code = EXIT_PASS if max_abs < tol else EXIT_FAIL
 

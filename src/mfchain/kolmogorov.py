@@ -343,12 +343,6 @@ def solve_kolmogorov(
     return solve_flow(model, as_measure(mu0)[None, :], times, step)[0][0]
 
 
-def flow_map(model: Model, t: float, mu0, step: float = DEFAULT_STEP) -> np.ndarray:
-    """The time-t flow m(t; mu0) as a single measure."""
-    mu0 = as_measure(mu0)
-    return solve_flow(model, mu0[None, :], np.array([0.0, t]), step)[0][0, -1]
-
-
 # ---------------------------------------------------------------------------
 # stationary search: integrate until the drift is small, then Newton-polish
 

@@ -12,7 +12,8 @@ equation is linear, so each DOP853 substep is an affine map q -> q @ M + e:
 solve_flow runs the measure flow alone, builds the step propagators (M, e)
 from one rates_and_margin call per block of substeps, and then advances the
 tangent rows by one matrix product per substep.  The flow derivative
-dm/dmu (t, mu, z) is the solution with q0 = delta_z - mu and no source.
+dm/dmu (t, mu, z) is the solution with q0 = delta_z - mu and no source,
+m1(model, t, mu, dirac(d, z)).
 
 Two checkable sufficient conditions for uniform exponential decay of q:
 
@@ -51,13 +52,6 @@ def m1(model: Model, t: float, mu, nu, step: float = DEFAULT_STEP) -> np.ndarray
         model, mu[None, :], np.array([0.0, t]), step, Q0=(nu - mu)[None, None, :]
     )
     return tangents[0, -1, 0]
-
-
-def dm_dmeasure(
-    model: Model, t: float, mu, z: int, step: float = DEFAULT_STEP
-) -> np.ndarray:
-    """Measure derivative of the flow toward delta_z (one direction)."""
-    return m1(model, t, mu, dirac(len(np.asarray(mu)), z), step)
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +211,17 @@ def check_condition1(
     }
 
 
+def default_resolution(d: int) -> int:
+    """Condition 2's lattice resolution unless one is given: 50 for d <= 3,
+    else 15."""
+    return 50 if d <= 3 else 15
+
+
 def check_condition2(model: Model, resolution: Optional[int] = None) -> dict:
     """Positivity of the linearization's off-diagonal entries on a lattice.
 
-    Scans the simplex lattice (resolution 50 for d <= 3, else 15, unless
-    given; refused above MAX_LATTICE points) in lexicographic order and
+    Scans the simplex lattice (default_resolution(d) unless given; refused
+    above MAX_LATTICE points) in lexicographic order and
     keeps the first strictly-smallest
     margin as witness.  verdict: "pass" (grid-certified) when the minimum is
     > 0, "fail" when < 0, "inconclusive" at exactly 0.  The check has no
@@ -229,7 +229,7 @@ def check_condition2(model: Model, resolution: Optional[int] = None) -> dict:
     notes name the lattice minimum and the number of points it is over.
     """
     d = model.d
-    res = (50 if d <= 3 else 15) if resolution is None else int(resolution)
+    res = default_resolution(d) if resolution is None else int(resolution)
     check_lattice(res, d)
     lattice = simplex_lattice(d, res)
     inside = model.valid_region.contains(lattice)

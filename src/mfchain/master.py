@@ -5,15 +5,15 @@ U solves the backward transport equation
     d/dt U(t, mu) = sum_z  dU/dm(t, mu, z) * (mu @ alpha(mu))_z
 
 whose right side only involves the measure derivative of U in the drift
-direction.  This module evaluates U, its measure derivative (via the
-tangent rows of the flow solve), the defect of the equation above under finite
-differencing in t (the "master residual"), and the second-order remainder
-tau of a single-particle jump expansion of U.
+direction.  This module evaluates U (eval_U), its measure derivative via the
+tangent rows of the flow solve (dU_dmeasure_all), the defect of the equation
+above under finite differencing in t (master_residual_scan, the "master
+residual"), and the second-order remainder tau of a single-particle jump
+expansion of U (tau_remainder).  Like every flow solve, each takes
+(model, phi, ..., step=DEFAULT_STEP).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,26 +31,28 @@ DT_STENCIL = 1e-4
 QUAD_POINTS = 9           # Simpson nodes on tau's chord (odd)
 
 
-@dataclass(frozen=True)
-class PropagatedObservable:
-    """phi evaluated along the mean-field flow: U(t, mu) = phi(m(t; mu))."""
-
-    model: Model
-    phi: ScalarField
-    step: float = DEFAULT_STEP
+def _measures(mus) -> np.ndarray:
+    """One measure (d,) or a batch (..., d) as checked (B, d) rows."""
+    mus = np.asarray(mus, dtype=float)
+    rows = mus.reshape(-1, mus.shape[-1]) if mus.ndim else [mus]
+    return np.array([as_measure(mu) for mu in rows])
 
 
-def eval_U(obs: PropagatedObservable, t: float, mu) -> float:
-    return float(eval_U_many(obs, t, as_measure(mu)[None, :])[0])
+def eval_U(model: Model, phi: ScalarField, t: float, mus,
+           step: float = DEFAULT_STEP):
+    """U(t, mu) = phi(m(t; mu)), shaped like mus without its last axis.
+
+    mus is one measure (d,), which gives a float, or a batch (..., d),
+    solved in one batched flow.
+    """
+    flat = _measures(mus)
+    states, _ = solve_flow(model, flat, np.array([0.0, t]), step)
+    U = phi(states[:, -1])
+    return float(U[0]) if np.ndim(mus) == 1 else U.reshape(np.shape(mus)[:-1])
 
 
-def eval_U_many(obs: PropagatedObservable, t: float, mus) -> np.ndarray:
-    """U(t, mu_b) for a batch of initial measures (one batched flow solve)."""
-    states, _ = solve_flow(obs.model, mus, np.array([0.0, t]), obs.step)
-    return obs.phi(states[:, -1])
-
-
-def dU_dmeasure_all(obs: PropagatedObservable, t: float, mus) -> np.ndarray:
+def dU_dmeasure_all(model: Model, phi: ScalarField, t: float, mus,
+                    step: float = DEFAULT_STEP) -> np.ndarray:
     """Measure derivatives dU/dm(t, mu, z) for all z, shaped like mus.
 
     mus is one measure (d,) or a batch (..., d), solved in one batched flow.
@@ -60,25 +62,24 @@ def dU_dmeasure_all(obs: PropagatedObservable, t: float, mus) -> np.ndarray:
     flow derivative are zero-sum, so the normalization constant of phi's
     derivative drops out automatically.
     """
-    mus = np.asarray(mus, dtype=float)
-    rows = mus.reshape(-1, mus.shape[-1]) if mus.ndim else [mus]
-    flat = np.array([as_measure(mu) for mu in rows])
+    flat = _measures(mus)
     states, tangents = solve_flow(
-        obs.model, flat, np.array([0.0, t]), obs.step,
+        model, flat, np.array([0.0, t]), step,
         Q0=np.eye(flat.shape[1]) - flat[:, None, :],
     )
-    return _chain_rule(obs, states[:, -1], tangents[:, -1]).reshape(mus.shape)
+    return _chain_rule(phi, states[:, -1], tangents[:, -1]).reshape(
+        np.shape(mus))
 
 
-def _chain_rule(obs: PropagatedObservable, states, frames) -> np.ndarray:
+def _chain_rule(phi: ScalarField, states, frames) -> np.ndarray:
     """dU/dm (B, z) from flow states m (B, d) and frames dm/dmu (B, z, d)."""
-    dphi = functional_derivative_all(obs.phi, states)           # (B, d)
+    dphi = functional_derivative_all(phi, states)           # (B, d)
     return np.einsum("bzy,by->bz", frames, dphi)
 
 
-def master_residual_scan(
-    obs: PropagatedObservable, cases, dt: float = DT_STENCIL
-) -> np.ndarray:
+def master_residual_scan(model: Model, phi: ScalarField, cases,
+                         dt: float = DT_STENCIL,
+                         step: float = DEFAULT_STEP) -> np.ndarray:
     """Residuals for many (t, mu) cases with two batched solves in total.
 
     Each residual is the defect d/dt U - dU/dm . drift at (t, mu), with
@@ -119,12 +120,12 @@ def master_residual_scan(
 
     starts = np.unique(np.concatenate([[0.0], ts - dt]))
     states, tangents = solve_flow(
-        obs.model, mus, starts, obs.step, Q0=np.eye(d) - mus[:, None, :]
+        model, mus, starts, step, Q0=np.eye(d) - mus[:, None, :]
     )
     col = np.searchsorted(starts, ts - dt)
     try:
         states, tangents = solve_flow(
-            obs.model, states[rows, col], dt / 2.0 * np.arange(5), obs.step,
+            model, states[rows, col], dt / 2.0 * np.arange(5), step,
             Q0=tangents[rows, col],
         )
     except DomainExitError as exc:
@@ -132,22 +133,17 @@ def master_residual_scan(
             f"{exc}, counted from t - dt of the case whose stencil it is in",
             time=exc.time,
         ) from None
-    u_m1, u_mh, _, u_ph, u_p1 = obs.phi(states).T              # (5, B)
+    u_m1, u_mh, _, u_ph, u_p1 = phi(states).T              # (5, B)
     D_full = (u_p1 - u_m1) / (2.0 * dt)
     D_half = (u_ph - u_mh) / dt
     dUdt = (4.0 * D_half - D_full) / 3.0
-    dU = _chain_rule(obs, states[:, 2], tangents[:, 2])          # (B, d)
-    drift = np.einsum("bx,bxy->by", mus, obs.model.rates(mus))
+    dU = _chain_rule(phi, states[:, 2], tangents[:, 2])          # (B, d)
+    drift = np.einsum("bx,bxy->by", mus, model.rates(mus))
     return dUdt - np.einsum("bz,bz->b", dU, drift)
 
 
-def tau_remainder(
-    obs: PropagatedObservable,
-    s: float,
-    config,
-    i: int,
-    z: int,
-) -> float:
+def tau_remainder(model: Model, phi: ScalarField, s: float, config, i: int,
+                  z: int, step: float = DEFAULT_STEP) -> float:
     """Second-order remainder of a one-particle jump, via the chord integral.
 
     For the N-particle configuration `config` (list of 0-based states),
@@ -162,7 +158,7 @@ def tau_remainder(
     """
     config = np.asarray(config, dtype=int)
     N = len(config)
-    d = obs.model.d
+    d = model.d
     if config.ndim != 1 or N == 0 or not np.all((0 <= config) & (config < d)):
         raise InputError(f"configuration must be a non-empty list of states"
                          f" in [0, {d}), got {config.tolist()}")
@@ -183,7 +179,7 @@ def tau_remainder(
     w = simpson_weights(QUAD_POINTS)
     nodes = mu[None, :] + thetas[:, None] * shift[None, :]
 
-    dU = dU_dmeasure_all(obs, s, nodes)                          # (n, d)
+    dU = dU_dmeasure_all(model, phi, s, nodes, step)                          # (n, d)
     D = dU[:, z] - dU[:, x]
     integral = float(w @ D)
     return (integral - D[0]) / N

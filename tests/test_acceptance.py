@@ -17,13 +17,11 @@ from mfchain.cli import main
 from mfchain.kolmogorov import solve_kolmogorov
 from mfchain.linearized import (
     check_condition2,
-    dm_dmeasure,
     estimate_decay,
     m1,
     nonlinear_contraction_rate,
 )
-from mfchain.kolmogorov import flow_map
-from mfchain.master import PropagatedObservable, dU_dmeasure_all, eval_U, master_residual_scan
+from mfchain.master import dU_dmeasure_all, eval_U, master_residual_scan
 from mfchain.models import (
     Model,
     constant,
@@ -215,9 +213,9 @@ def test_criterion_06_second_order_remainder_ratio():
 
         def remainders(model, chords):
             lin = m1(model, t, mu, nu)
-            base = flow_map(model, t, mu)
-            return [float(np.abs(flow_map(model, t, mu + c * q) - base
-                                 - c * lin).sum()) for c in chords]
+            base = solve_kolmogorov(model, mu, [0.0, t])[-1]
+            return [float(np.abs(solve_kolmogorov(model, mu + c * q, [0.0, t])[-1]
+                                 - base - c * lin).sum()) for c in chords]
 
         r_full, r_half = remainders(quadratic_drift(a, b, eps), (1.0, 0.5))
         ratios.append(r_full / r_half if r_half > 0 else np.nan)
@@ -255,18 +253,19 @@ def test_criterion_07_flow_derivative_vs_mixture_fd():
         mu = random_measures(555, 1, d, floor=0.05, rep=i)[0]
         z = i % d
         t = 0.2 + 1.8 * float(u[i])
-        got = dm_dmeasure(model, t, mu, z)
-        base = flow_map(model, t, mu)
         ez = np.zeros(d)
         ez[z] = 1.0
+        got = m1(model, t, mu, ez)
+        base = solve_kolmogorov(model, mu, [0.0, t])[-1]
 
         def probe(e):
-            return (flow_map(model, t, (1.0 - e) * mu + e * ez) - base) / e
+            mixed = (1.0 - e) * mu + e * ez
+            return (solve_kolmogorov(model, mixed, [0.0, t])[-1] - base) / e
 
         fd = 2.0 * probe(5e-6) - probe(1e-5)
         worst = max(worst, float(np.abs(got - fd).max()))
     ok = worst < 1e-5
-    announce(7, ok, f"max |dm_dmeasure - mixture FD| {worst:.2e} over 50 cases")
+    announce(7, ok, f"max |dm/dmu - mixture FD| {worst:.2e} over 50 cases")
     assert worst < 1e-5
 
 
@@ -275,12 +274,11 @@ def test_criterion_08_master_equation_residuals():
                           c=np.array([0.3, -0.1]))
     worst = {}
     for model in (weak_interaction(), example_slow_conv()):
-        obs = PropagatedObservable(model, phi)
         mus = random_measures(901, 100, 2, floor=0.05)
         key = domain_key(stream_key(901, 1), DOMAIN_SCAN)
         ts = 0.5 + 2.5 * uniforms(key, np.arange(100, dtype=np.uint64))
-        res = master_residual_scan(obs, [(float(ts[i]), mus[i])
-                                         for i in range(100)])
+        res = master_residual_scan(model, phi, [(float(ts[i]), mus[i])
+                                                for i in range(100)])
         worst[model.name] = float(np.abs(res).max())
     ok = all(v < 1e-5 for v in worst.values())
     announce(8, ok, "; ".join(f"{k}: max residual {v:.1e}"
@@ -333,17 +331,16 @@ def test_criterion_10_chain_rules():
     for i in range(25):
         model = models[i % 3]
         phi = phis[(i + 1) % 2]
-        obs = PropagatedObservable(model, phi)
         mu = random_measures(322, 1, 2, floor=0.05, rep=i)[0]
         t = 0.3 + 2.2 * float(u[25 + i])
-        dU = dU_dmeasure_all(obs, t, mu)
-        base = eval_U(obs, t, mu)
+        dU = dU_dmeasure_all(model, phi, t, mu)
+        base = eval_U(model, phi, t, mu)
         for z in range(2):
             ez = np.zeros(2)
             ez[z] = 1.0
 
             def probe(e):
-                return (eval_U(obs, t, (1.0 - e) * mu + e * ez) - base) / e
+                return (eval_U(model, phi, t, (1.0 - e) * mu + e * ez) - base) / e
 
             fd = 2.0 * probe(5e-7) - probe(1e-6)
             worst_c = max(worst_c, abs(dU[z] - fd))

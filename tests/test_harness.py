@@ -19,6 +19,7 @@ from mfchain.harness import (
     _ols_loglog,
     config_hash,
     initial_measure,
+    json_default,
     load_config,
     master_cases,
     mc_verdict,
@@ -26,7 +27,6 @@ from mfchain.harness import (
     observable_from_config,
     parse_config_text,
     report_envelope,
-    to_builtin,
     write_csv,
     write_json,
 )
@@ -138,6 +138,23 @@ def test_write_json_stable(tmp_path):
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')          # sorted keys
     assert json.loads(text) == {"a": [1, 2], "b": 1.5}
+
+
+def test_json_default_writes_numpy_values_as_python_ones():
+    # nested numpy scalars and arrays, NaN and inf included, give the text
+    # of the same Python values, with and without indent
+    obj = {"x": [np.float64(0.1), np.int64(-3), np.bool_(True)],
+           "y": {"z": np.array([[np.nan, np.inf], [-0.0, 1e-300]])},
+           "w": (np.float32(0.5), np.array([1, 2], dtype=np.int64))}
+    plain = {"x": [0.1, -3, True],
+             "y": {"z": [[float("nan"), float("inf")], [-0.0, 1e-300]]},
+             "w": [0.5, [1, 2]]}
+    for indent in (None, 2):
+        assert json.dumps(obj, indent=indent, sort_keys=True,
+                          default=json_default) == json.dumps(
+            plain, indent=indent, sort_keys=True)
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        json.dumps({"s": {1}}, default=json_default)
 
 
 def test_ols_loglog_exact():
@@ -370,6 +387,9 @@ MALFORMED = [
     " --run.spacing=1e11",
     "master-check --model.name=weak_interaction --observable.target=0.5,0.5"
     " --master.tmin=5 --master.tmax=1",
+    # a NaN tolerance used to end as a certified failure (exit 3)
+    "master-check --model.name=weak_interaction --observable.target=0.5,0.5"
+    " --master.tol=nan",
     # an averaging window that is empty or unbounded, refused in config
     # terms before the stationary search and the decay probe
     "stationary-gap --model.name=constant --model.Q=-1,1;1,-1 --gap.burn=-1",
@@ -503,12 +523,18 @@ def test_vector_keys_refuse_non_finite_entries(setting, key, tmp_path, capfd):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("res", ["0", "1000"])
-def test_certify_resolution_refused_in_config_terms(res, tmp_path, capfd):
+@pytest.mark.parametrize("args", [
+    ["--model.name=constant", "--model.Q=-1,0.5,0.5;0.5,-1,0.5;0.5,0.5,-1",
+     "--certify.resolution=0"],
     # d = 3: resolution 1000 makes 501 501 lattice points, above MAX_LATTICE
-    assert main(["certify", "--model.name=constant",
-                 "--model.Q=-1,0.5,0.5;0.5,-1,0.5;0.5,0.5,-1",
-                 f"--certify.resolution={res}", "--out", str(tmp_path / "o")]) == 1
+    ["--model.name=constant", "--model.Q=-1,0.5,0.5;0.5,-1,0.5;0.5,0.5,-1",
+     "--certify.resolution=1000"],
+    # d = 9: the default resolution 15 makes 490 314 points; the message
+    # used to name no key
+    ["--model.name=zero", "--model.d=9"],
+], ids=["0", "1000", "zero-d9-default"])
+def test_certify_resolution_refused_in_config_terms(args, tmp_path, capfd):
+    assert main(["certify", *args, "--out", str(tmp_path / "o")]) == 1
     err = capfd.readouterr().err
     assert err.startswith("mfchain: error: config key certify.resolution:")
     assert err.count("\n") == 1
@@ -529,7 +555,7 @@ def test_certify_reports_the_library_records(tmp_path):
         "decay": estimate_decay(model, horizon=6.0, seed=7),
     }
     assert {k: rep[k] for k in library} == json.loads(
-        json.dumps(to_builtin(library)))
+        json.dumps(library, default=json_default))
 
 
 def test_flagged_and_fitted_decay_records_share_their_keys():
@@ -604,6 +630,23 @@ def test_cli_master_check(tmp_path):
     # an absurd tolerance turns the same scan into a certified failure
     assert main(base + ["--master.tol=1e-30",
                         "--out", str(tmp_path / "bad")]) == 3
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-5"])
+def test_master_tol_refused_before_any_solve(tol, tmp_path, capfd,
+                                             monkeypatch):
+    # nan used to end as a certified failure (exit 3), and inf passed any
+    # residual; sq_dist's default target would run the stationary search
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before master.tol was checked")
+
+    monkeypatch.setattr(harness, "stationary_distribution", no_solve)
+    monkeypatch.setattr(harness, "master_residual_scan", no_solve)
+    assert main(["master-check", "--model.name=weak_interaction",
+                 f"--master.tol={tol}", "--out", str(tmp_path / "o")]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("mfchain: error: config key master.tol:")
+    assert err.count("\n") == 1
 
 
 def test_cli_decay_fit(tmp_path):

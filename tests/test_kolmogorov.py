@@ -15,7 +15,6 @@ from mfchain.kolmogorov import (
     _C,
     _make_measure_postproc,
     _march,
-    flow_map,
     make_grid,
     solve_flow,
     solve_kolmogorov,
@@ -274,10 +273,8 @@ def test_solve_flow_rejects_bad_measures_and_tangent_rows():
     for mus in ([[0.2, 0.3, 0.5]], [0.9, 0.1], np.zeros((0, 2))):
         with pytest.raises(InputError, match=r"initial measures must be a \(B, 2\)"):
             solve_flow(model, mus, [0.0, 1.0])
-    for call in (lambda: solve_kolmogorov(model, [0.2, 0.3, 0.5], [0.0, 1.0]),
-                 lambda: flow_map(model, 1.0, [0.2, 0.3, 0.5])):
-        with pytest.raises(InputError, match="initial measures"):
-            call()
+    with pytest.raises(InputError, match="initial measures"):
+        solve_kolmogorov(model, [0.2, 0.3, 0.5], [0.0, 1.0])
     # Q0 of the wrong shape used to be a raw "cannot reshape" error
     for Q0 in (np.zeros((1, 2)), np.zeros((2, 1, 2)), np.zeros((1, 1, 3))):
         with pytest.raises(InputError, match=r"Q0 must be a \(B, k, d\)"):
@@ -378,10 +375,12 @@ def test_domain_exit_reports_time():
 
 
 def test_flow_map_identity_and_validation():
+    # the time-t flow map m(t; mu0) is the last row of a solve on [0, t]
     mu0 = np.array([0.3, 0.7])
-    assert np.array_equal(flow_map(weak_interaction(), 0.0, mu0), mu0)
+    assert np.array_equal(solve_kolmogorov(weak_interaction(), mu0, [0.0, 0.0])[-1],
+                          mu0)
     with pytest.raises(ValueError):
-        flow_map(weak_interaction(), -1.0, mu0)
+        solve_kolmogorov(weak_interaction(), mu0, [0.0, -1.0])
 
 
 # --- stationary search -------------------------------------------------------
@@ -418,7 +417,7 @@ def test_stationary_march_is_one_pass(monkeypatch):
     model = example_slow_conv()
     mu = [np.array([0.9, 0.1])]
     for span in (1.0, 1.0, 1.0, 0.5):
-        mu.append(flow_map(model, span, mu[-1]))
+        mu.append(solve_kolmogorov(model, mu[-1], [0.0, span])[-1])
     monkeypatch.setattr(kolmogorov, "solve_flow", None)
     _, info = stationary_distribution(model, mu[0], max_time=3.5)
     assert info["march_time"] == 3.5

@@ -9,13 +9,12 @@ from mfchain.errors import InputError
 from mfchain.linearized import (
     check_condition1,
     check_condition2,
-    dm_dmeasure,
     estimate_decay,
     m1,
     margin_matrix,
     nonlinear_contraction_rate,
 )
-from mfchain.kolmogorov import DEFAULT_STEP, flow_map, make_grid, solve_flow
+from mfchain.kolmogorov import DEFAULT_STEP, make_grid, solve_flow, solve_kolmogorov
 from mfchain.models import (
     constant,
     example_chaos,
@@ -23,6 +22,7 @@ from mfchain.models import (
     example_slow_conv,
     weak_interaction,
 )
+from mfchain.simplex import dirac
 from conftest import measure_strategy
 
 SYM2 = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -43,6 +43,11 @@ def flow_derivative(model, t, mu, step=DEFAULT_STEP):
     _, tangents = solve_flow(model, mu[None, :], [0.0, t], step,
                              Q0=(np.eye(len(mu)) - mu)[None])
     return tangents[0, -1]
+
+
+def flow(model, t, mu):
+    """m(t; mu): the last row of a solve on [0, t]."""
+    return solve_kolmogorov(model, mu, [0.0, t])[-1]
 
 
 @given(measure_strategy(2), measure_strategy(2))
@@ -114,7 +119,7 @@ def test_dm_dmeasure_single_matches_frame():
     mu = np.array([0.7, 0.3])
     J = flow_derivative(model, 1.2, mu)
     for z in range(2):
-        row = dm_dmeasure(model, 1.2, mu, z)
+        row = m1(model, 1.2, mu, dirac(2, z))
         assert np.abs(row - J[z]).max() < 1e-13
     assert np.array_equal(flow_derivative(model, 0.0, mu), np.eye(2) - mu)
 
@@ -131,7 +136,7 @@ def test_m1_matches_chord_finite_difference():
         lin = m1(model, t, mu, nu)
 
         def chord(e):
-            return (flow_map(model, t, mu + e * (nu - mu)) - flow_map(model, t, mu)) / e
+            return (flow(model, t, mu + e * (nu - mu)) - flow(model, t, mu)) / e
 
         e = 1e-5
         fd = 2.0 * chord(e / 2.0) - chord(e)
@@ -287,7 +292,7 @@ def test_weak_interaction_remainder_is_float_noise():
     nu = np.array([0.15, 0.85])
     for t in (0.5, 1.0, 2.0):
         rem = np.abs(
-            flow_map(model, t, nu) - flow_map(model, t, mu) - m1(model, t, mu, nu)
+            flow(model, t, nu) - flow(model, t, mu) - m1(model, t, mu, nu)
         ).sum()
         assert rem <= 1e-12
 
@@ -304,12 +309,12 @@ def test_remainder_halving_ratio_on_nonlinear_model():
     ]
     for mu, nu, t in cases:
         q = nu - mu
-        base = flow_map(model, t, mu)
+        base = flow(model, t, mu)
         lin = m1(model, t, mu, nu)
 
         def rem(c):
             return float(
-                np.abs(flow_map(model, t, mu + c * q) - base - c * lin).sum()
+                np.abs(flow(model, t, mu + c * q) - base - c * lin).sum()
             )
 
         ratio = rem(0.125) / rem(0.0625)
