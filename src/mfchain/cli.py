@@ -17,7 +17,7 @@ import sys
 from typing import Optional
 
 from .errors import InputError, MfchainError
-from .harness import COMMANDS, cfg_int, load_config, run_command
+from .harness import COMMANDS, cfg_value, load_config, run_command
 
 
 def parse_dotted(tokens: list) -> dict:
@@ -74,7 +74,7 @@ def main(argv: Optional[list] = None) -> int:
         overrides = parse_dotted(extra)
         cfg = load_config(args.config)
         cfg.update(overrides)
-        seed = args.seed if args.seed is not None else cfg_int(cfg, "run.seed", 0)
+        seed = args.seed if args.seed is not None else cfg_value(cfg, "run.seed", 0, int)
         out = args.out if args.out else os.path.join("mfchain_out", args.command)
         return run_command(args.command, cfg, out, seed,
                            threads=args.threads, force=args.force)

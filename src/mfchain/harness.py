@@ -6,6 +6,7 @@ residual scan, decay fitting, plain solves and simulations.
 
 Config files are flat `section.key = value` lines ('#' starts a comment).
 Dotted command-line overrides (--section.key=value) replace file entries.
+cfg_value reads every key: a bad value is refused, by key, before any work.
 Reports are JSON with a stable layout: a schema tag, the tool version, the
 echoed scientific config and its content hash, and the master seed, so a
 rerun of the same invocation reproduces the output byte for byte (worker
@@ -35,7 +36,7 @@ from .kolmogorov import (
 )
 from .linearized import (check_condition1, check_condition2,
                          default_resolution, estimate_decay)
-from .master import master_residual_scan
+from .master import DT_STENCIL, master_residual_scan
 from .models import Model, make_model
 from .particles import (gillespie_batch, initial_counts, mc_moments,
                         mc_observable, sample_initial, simulate)
@@ -80,80 +81,59 @@ def load_config(path: Optional[str]) -> dict:
     return parse_config_text(text)
 
 
-def _parsed(cfg: dict, key: str, default, parse: Callable):
-    """parse(raw) of the key's raw string; a ValueError names the key."""
+def cfg_value(cfg: dict, key: str, default, parse: Callable):
+    """parse(raw) of the key's raw string, else of str(default).  A refusal
+    names the key: an InputError from parse keeps its message after `config
+    key K:`, and any other ValueError says the raw string cannot be parsed."""
     raw = str(cfg.get(key, default))
     try:
         return parse(raw)
+    except InputError as exc:
+        raise InputError(f"config key {key}: {exc}") from None
     except ValueError:
         raise InputError(f"config key {key}: cannot parse {raw!r}") from None
 
 
-def _list(cast: Callable) -> Callable:
-    return lambda raw: [cast(v) for v in raw.split(",") if v.strip() != ""]
+def checked(cast: Callable, ok: Callable, need: str) -> Callable:
+    """The parse cast(raw), refused unless ok holds for the value."""
+    def parse(raw: str):
+        v = cast(raw)
+        if not ok(v):
+            raise InputError(f"need {need}, got {v!r}")
+        return v
+    return parse
 
 
-def cfg_float(cfg: dict, key: str, default: float) -> float:
-    return _parsed(cfg, key, default, float)
+POSITIVE = checked(float, lambda v: 0 < v < np.inf, "a finite value > 0")
+NONNEGATIVE = checked(float, lambda v: 0 <= v < np.inf, "a finite value >= 0")
+COUNT = checked(int, lambda n: n >= 1, "an integer >= 1")
+REPLICATIONS = checked(int, lambda R: R >= 2, "R >= 2 for a standard error")
 
 
-def cfg_int(cfg: dict, key: str, default: int) -> int:
-    return _parsed(cfg, key, default, int)
+def lattice_totals(d: int, single: bool = False) -> Callable:
+    """The parse of lattice totals at dimension d, each passing check_lattice:
+    one int (an N or a resolution) if single, else a comma list of them."""
+    def parse(raw: str):
+        Ns = [int(v) for v in ([raw] if single else raw.split(",")) if v.strip()]
+        if not Ns:
+            raise InputError("need at least one value")
+        for N in Ns:
+            check_lattice(N, d)
+        return Ns[0] if single else Ns
+    return parse
 
 
-def cfg_positive(cfg: dict, key: str, default: float) -> float:
-    """The key's float, which must be finite and > 0."""
-    v = cfg_float(cfg, key, default)
-    if not 0 < v < np.inf:
-        raise InputError(f"config key {key}: need a finite value > 0, got {v}")
-    return v
-
-
-def cfg_str(cfg: dict, key: str, default: str) -> str:
-    return str(cfg.get(key, default))
-
-
-def cfg_ints(cfg: dict, key: str, default: str) -> list:
-    """The key's comma list of integers, which must not be empty."""
-    v = _parsed(cfg, key, default, _list(int))
-    if not v:
-        raise InputError(f"config key {key}: need at least one value")
-    return v
-
-
-def cfg_replications(cfg: dict, key: str, default: int) -> int:
-    """The key's replication count: a standard error needs at least two."""
-    R = cfg_int(cfg, key, default)
-    if R < 2:
-        raise InputError(f"config key {key}: need at least 2 replications"
-                         f" for a standard error, got {R}")
-    return R
-
-
-def cfg_lattice(cfg: dict, key: str, default, model: Model,
-                single: bool = False) -> list:
-    """The key's count-lattice totals, particle counts N or a condition-2
-    resolution (one int if single, else a comma list): each >= 1, with a
-    count lattice of at most simplex.MAX_LATTICE points at the model's d."""
-    Ns = [cfg_int(cfg, key, default)] if single else cfg_ints(cfg, key, default)
-    for N in Ns:
-        try:
-            check_lattice(N, model.d)
-        except InputError as exc:
-            raise InputError(f"config key {key}: {exc}") from None
-    return Ns
-
-
-def cfg_vector(cfg: dict, key: str, model: Model) -> np.ndarray:
-    """The key's comma list of finite floats, one entry per model state."""
-    v = np.array(_parsed(cfg, key, "", _list(float)))
-    if len(v) != model.d:
-        raise InputError(f"config key {key}: {len(v)} entries, but model"
-                         f" {model.name!r} has d = {model.d}")
-    if not np.all(np.isfinite(v)):
-        raise InputError(f"config key {key}: entries must be finite,"
-                         f" got {cfg[key]!r}")
-    return v
+def state_entries(model: Model) -> Callable:
+    """The parse of a comma list of finite floats, one per model state."""
+    def parse(raw: str) -> np.ndarray:
+        v = np.array([float(x) for x in raw.split(",") if x.strip()])
+        if len(v) != model.d:
+            raise InputError(f"{len(v)} entries, but model {model.name!r}"
+                             f" has d = {model.d}")
+        if not np.all(np.isfinite(v)):
+            raise InputError(f"entries must be finite, got {raw!r}")
+        return v
+    return parse
 
 
 def _auto_value(raw: str):
@@ -173,49 +153,53 @@ def _auto_value(raw: str):
 
 
 def model_from_config(cfg: dict) -> Model:
-    name = cfg_str(cfg, "model.name", "")
-    if not name:
-        raise InputError("config needs model.name")
-    params = {
-        key.split(".", 1)[1]: _parsed(cfg, key, None, _auto_value)
-        for key in cfg
-        if key.startswith("model.") and key != "model.name"
-    }
+    name = cfg_value(cfg, "model.name", "", checked(str, bool, "a model name"))
+    params = {key.split(".", 1)[1]: cfg_value(cfg, key, None, _auto_value)
+              for key in cfg if key.startswith("model.") and key != "model.name"}
     return make_model(name, **params)
+
+
+def observable_params(cfg: dict, model: Model) -> tuple:
+    """(observable.name, the parameters its keys set); sq_dist has a target
+    among them only when observable.target is set."""
+    name = cfg_value(cfg, "observable.name", "sq_dist", str)
+    params: dict = {}
+    if name == "sq_dist" and "observable.target" in cfg:
+        params["target"] = cfg_value(cfg, "observable.target", "",
+                                     state_entries(model))
+    elif name == "linear":
+        params["coeffs"] = cfg_value(cfg, "observable.coeffs", "",
+                                     state_entries(model))
+    elif name == "entropy":
+        params["shift"] = cfg_value(cfg, "observable.shift", 0.1, POSITIVE)
+    return name, params
 
 
 def observable_from_config(cfg: dict, model: Model,
                            nu: Optional[np.ndarray] = None) -> ScalarField:
     """The configured observable.  sq_dist's default target is the
     stationary search's nu: pass it as nu if the search has already run."""
-    name = cfg_str(cfg, "observable.name", "sq_dist")
-    params: dict = {}
-    if name == "sq_dist":
-        if "observable.target" in cfg:
-            params["target"] = cfg_vector(cfg, "observable.target", model)
-        else:
-            params["target"] = stationary_search(cfg, model)[0] if nu is None else nu
-    elif name == "linear":
-        params["coeffs"] = cfg_vector(cfg, "observable.coeffs", model)
-    elif name == "entropy":
-        if "observable.shift" in cfg:
-            params["shift"] = cfg_float(cfg, "observable.shift", 0.1)
+    name, params = observable_params(cfg, model)
+    if name == "sq_dist" and "target" not in params:
+        params["target"] = stationary_search(cfg, model)[0] if nu is None else nu
     return make_observable(name, **params)
 
 
 def initial_measure(cfg: dict, model: Model) -> np.ndarray:
     if "init.mu" in cfg:
-        return as_measure(cfg_vector(cfg, "init.mu", model))
+        return cfg_value(cfg, "init.mu", "",
+                         lambda raw: as_measure(state_entries(model)(raw)))
     return barycenter(model.d)
 
 
 # ---------------------------------------------------------------------------
-# settings the commands share: each key is read here and nowhere else
+# settings the commands share: each key is read here and nowhere else, and
+# before the runner's first flow solve, search, certificate or Monte Carlo
 
 
 def run_step(cfg: dict) -> float:
     """The fixed step of every flow a command solves."""
-    return cfg_float(cfg, "run.step", DEFAULT_STEP)
+    return cfg_value(cfg, "run.step", DEFAULT_STEP, POSITIVE)
 
 
 def stationary_search(cfg: dict, model: Model) -> tuple:
@@ -229,8 +213,8 @@ def stationary_search(cfg: dict, model: Model) -> tuple:
 def run_grid(cfg: dict) -> np.ndarray:
     """The recording grid of solve, simulate and weak-error: multiples of
     run.spacing up to run.horizon, so its last time may fall short of it."""
-    return make_grid(cfg_float(cfg, "run.horizon", 20.0),
-                     cfg_float(cfg, "run.spacing", 0.25))
+    return make_grid(cfg_value(cfg, "run.horizon", 20.0, NONNEGATIVE),
+                     cfg_value(cfg, "run.spacing", 0.25, POSITIVE))
 
 
 def master_cases(cfg: dict, model: Model, seed: int) -> tuple:
@@ -239,15 +223,20 @@ def master_cases(cfg: dict, model: Model, seed: int) -> tuple:
     master.cases measures with every mass at least master.floor, or 0.01
     above the model's valid-region floor if that is higher, each paired
     with a time uniform on [master.tmin, master.tmax] from the seed's scan
-    stream.
+    stream.  master.tmin must exceed the residual stencil's width.
     """
-    n = cfg_int(cfg, "master.cases", 100)
-    tmin = cfg_float(cfg, "master.tmin", 0.5)
-    tmax = cfg_float(cfg, "master.tmax", 3.0)
+    n = cfg_value(cfg, "master.cases", 100, COUNT)
+    tmin = cfg_value(cfg, "master.tmin", 0.5, checked(
+        float, lambda t: DT_STENCIL < t < np.inf,
+        f"a finite time > the residual stencil's width {DT_STENCIL}"))
+    tmax = cfg_value(cfg, "master.tmax", 3.0,
+                     checked(float, np.isfinite, "a finite time"))
+    floor = cfg_value(cfg, "master.floor", 0.05, checked(
+        float, lambda f: 0 <= f * model.d < 1,
+        f"0 <= floor * d < 1 at d = {model.d}"))
     if not tmin <= tmax:
         raise InputError(f"need master.tmin <= master.tmax, got {tmin}, {tmax}")
-    floor = max(cfg_float(cfg, "master.floor", 0.05),
-                model.valid_region.min_mass + 0.01
+    floor = max(floor, model.valid_region.min_mass + 0.01
                 if model.valid_region.min_mass > 0 else 0.0)
     mus = rng.random_measures(seed, n, model.d, floor=floor)
     key = rng.domain_key(rng.stream_key(seed, 0), rng.DOMAIN_SCAN)
@@ -257,24 +246,43 @@ def master_cases(cfg: dict, model: Model, seed: int) -> tuple:
     return [(float(ts[i]), mus[i]) for i in range(n)], [tmin, tmax]
 
 
-def decay_probe(model: Model, cfg: dict, seed: int) -> dict:
-    """The decay record of estimate_decay at the decay.* settings.
+def decay_settings(cfg: dict) -> dict:
+    """estimate_decay's keyword arguments from decay.* and run.step."""
+    return {
+        "horizon": cfg_value(cfg, "decay.horizon", 20.0, POSITIVE),
+        "spacing": cfg_value(cfg, "decay.spacing", 0.25, POSITIVE),
+        "n_random": cfg_value(cfg, "decay.random", 8,
+                              checked(int, lambda n: n >= 0, "an integer >= 0")),
+        "step": run_step(cfg),
+    }
+
+
+def certify_settings(cfg: dict, model: Model) -> dict:
+    """certification_bundle's keyword arguments from certify.* and decay."""
+    return {
+        "resolution": cfg_value(cfg, "certify.resolution",
+                                default_resolution(model.d),
+                                lattice_totals(model.d, single=True)),
+        "n_pairs": cfg_value(cfg, "certify.pairs", 10_000, COUNT),
+        "decay": decay_settings(cfg),
+    }
+
+
+def decay_probe(model: Model, seed: int, decay: dict) -> dict:
+    """The decay record of estimate_decay at decay, from decay_settings.
 
     A probe that leaves the model's valid region is evidence, not a crash:
     it is recorded with the same keys, flagged, with null lambda, c2 and
     per_sample_rates and the exit in note.  The horizon is the probe grid's
     last time.
     """
-    horizon = cfg_float(cfg, "decay.horizon", 20.0)
-    spacing = cfg_float(cfg, "decay.spacing", 0.25)
     try:
-        return estimate_decay(model, horizon=horizon, spacing=spacing,
-                              n_random=cfg_int(cfg, "decay.random", 8),
-                              seed=seed, step=run_step(cfg))
+        return estimate_decay(model, seed=seed, **decay)
     except DomainExitError as exc:
         return {"lambda": None, "c2": None, "per_sample_rates": None,
                 "flagged": True,
-                "horizon": float(make_grid(horizon, spacing)[-1]),
+                "horizon": float(make_grid(decay["horizon"],
+                                           decay["spacing"])[-1]),
                 "note": f"decay probe: {exc}"}
 
 
@@ -382,16 +390,14 @@ def mc_verdict(Ns, effects, halves, R: int) -> dict:
 # certification bundle (shared by certify and weak-error)
 
 
-def certification_bundle(model: Model, cfg: dict, seed: int) -> dict:
-    [res] = cfg_lattice(cfg, "certify.resolution", default_resolution(model.d),
-                        model, single=True)
-    c1 = check_condition1(model, n_pairs=cfg_int(cfg, "certify.pairs", 10_000),
-                          seed=seed)
-    c2 = check_condition2(model, resolution=res)
+def certification_bundle(model: Model, seed: int, resolution: int,
+                         n_pairs: int, decay: dict) -> dict:
+    c1 = check_condition1(model, n_pairs=n_pairs, seed=seed)
+    c2 = check_condition2(model, resolution=resolution)
     return {
         "condition1": c1,
         "condition2": c2,
-        "decay": decay_probe(model, cfg, seed),
+        "decay": decay_probe(model, seed, decay),
         "certified": c1["verdict"] == "pass" or c2["verdict"] == "pass",
     }
 
@@ -403,13 +409,15 @@ def certification_bundle(model: Model, cfg: dict, seed: int) -> dict:
 def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
                    force: bool = False) -> dict:
     model = model_from_config(cfg)
-    R = cfg_replications(cfg, "run.R", 20_000)
-    Ns = cfg_lattice(cfg, "run.Ns", "8,16,32,64,128,256", model)
-    phi = observable_from_config(cfg, model)
+    R = cfg_value(cfg, "run.R", 20_000, REPLICATIONS)
+    Ns = cfg_value(cfg, "run.Ns", "8,16,32,64,128,256",
+                   lattice_totals(model.d))
     mu0 = initial_measure(cfg, model)
     times = run_grid(cfg)
+    certify = certify_settings(cfg, model)
+    phi = observable_from_config(cfg, model)     # may run the search: last
 
-    bundle = certification_bundle(model, cfg, seed)
+    bundle = certification_bundle(model, seed, **certify)
     if not bundle["certified"] and not force:
         raise InputError(
             "no ergodicity certificate holds for this model; the uniform-in-N"
@@ -417,31 +425,21 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
         )
     bundle["forced"] = bool(not bundle["certified"] and force)
 
-    # initial configurations for every N, and the distinct ones among them
-    counts_by_N, uniq_by_N, inv_by_N = {}, {}, {}
-    for N in Ns:
-        counts_by_N[N] = initial_counts(mu0, N, R, seed)
-        uniq_by_N[N], inv_by_N[N] = np.unique(counts_by_N[N], axis=0,
-                                              return_inverse=True)
+    # each N's starts, and the distinct ones (lexicographic) with their counts
+    counts = [initial_counts(mu0, N, R, seed) for N in Ns]
+    uniq = [np.unique(c, axis=0, return_counts=True) for c in counts]
 
     # one batched flow solve covers mu0 and every distinct empirical start
-    starts = [mu0[None, :]]
-    offsets, pos = {}, 1
-    for N in Ns:
-        starts.append(uniq_by_N[N] / N)
-        offsets[N] = pos
-        pos += len(uniq_by_N[N])
-    flows, _ = solve_flow(model, np.concatenate(starts, axis=0), times,
-                          run_step(cfg))
-    u_curve = phi(flows[0])                                    # U(t, mu0)
+    starts = [mu0[None, :]] + [u / N for (u, _), N in zip(uniq, Ns)]
+    flows, _ = solve_flow(model, np.concatenate(starts), times, run_step(cfg))
+    U = np.split(phi(flows), np.cumsum([len(x) for x in starts])[:-1])
+    u_curve = U[0][0]                                          # U(t, mu0)
 
     per_N = []
-    for N in Ns:
-        lo = offsets[N]
-        U_table = phi(flows[lo : lo + len(uniq_by_N[N])])      # (uq, T)
+    for N, counts0, (_, mult), U_table in zip(Ns, counts, uniq, U[1:]):
         # E[U(t, mu^N_0)] over the R sampled starts, exactly
-        u0 = np.bincount(inv_by_N[N], minlength=len(U_table)) @ U_table / R
-        mean, stderr = mc_observable(model, phi, counts_by_N[N], times, seed,
+        u0 = mult @ U_table / R
+        mean, stderr = mc_observable(model, phi, counts0, times, seed,
                                      threads)
         # t1 = E[phi(mu^N_t)] - E[U(mu^N_0)], t2 = E[U(mu^N_0)] - U(mu0)
         t1 = mean - u0
@@ -504,8 +502,7 @@ def run_weak_error(cfg: dict, out: str, seed: int, threads: int = 1,
 
 
 def _check_gap_end(burn: float, window: float) -> None:
-    """The averaging window [gap.burn, gap.burn + gap.window] must not be
-    empty in floating point."""
+    """Refuse a window [burn, burn + window] empty in floating point."""
     if not burn + window > burn:
         raise InputError(f"gap.burn + gap.window must exceed gap.burn, but"
                          f" {burn} + {window} rounds to {burn + window}")
@@ -514,18 +511,18 @@ def _check_gap_end(burn: float, window: float) -> None:
 def run_stationary_gap(cfg: dict, out: str, seed: int, threads: int = 1,
                        force: bool = False) -> dict:
     model = model_from_config(cfg)
-    window = cfg_positive(cfg, "gap.window", 10.0)
-    burn = cfg_float(cfg, "gap.burn", 0.0) if "gap.burn" in cfg else None
+    window = cfg_value(cfg, "gap.window", 10.0, POSITIVE)
+    burn = (cfg_value(cfg, "gap.burn", None, NONNEGATIVE)
+            if "gap.burn" in cfg else None)
     if burn is not None:
-        if not 0 <= burn < np.inf:
-            raise InputError(f"config key gap.burn: need a finite value >= 0,"
-                             f" got {burn}")
         _check_gap_end(burn, window)
-    R = cfg_replications(cfg, "gap.R", 400)
-    Ns = cfg_lattice(cfg, "gap.Ns", "10,100,1000", model)
+    R = cfg_value(cfg, "gap.R", 400, REPLICATIONS)
+    Ns = cfg_value(cfg, "gap.Ns", "10,100,1000", lattice_totals(model.d))
+    probe = decay_settings(cfg)
+    observable_params(cfg, model)      # observable.* refused before the search
     nu, info = stationary_search(cfg, model)
     phi = observable_from_config(cfg, model, nu)
-    decay = decay_probe(model, cfg, seed)
+    decay = decay_probe(model, seed, probe)
     if decay["flagged"] and not force:
         raise InputError(
             "no linearized decay detected; burn-in calibration is undefined."
@@ -581,7 +578,7 @@ def run_stationary_gap(cfg: dict, out: str, seed: int, threads: int = 1,
 def run_certify(cfg: dict, out: str, seed: int, threads: int = 1,
                 force: bool = False) -> dict:
     model = model_from_config(cfg)
-    bundle = certification_bundle(model, cfg, seed)
+    bundle = certification_bundle(model, seed, **certify_settings(cfg, model))
     if bundle["certified"]:
         code, verdict = EXIT_PASS, "pass"
     elif bundle["condition2"]["verdict"] == "fail":
@@ -601,9 +598,9 @@ def run_certify(cfg: dict, out: str, seed: int, threads: int = 1,
 def run_master_check(cfg: dict, out: str, seed: int, threads: int = 1,
                      force: bool = False) -> dict:
     model = model_from_config(cfg)
-    tol = cfg_positive(cfg, "master.tol", 1e-8)
-    phi = observable_from_config(cfg, model)
+    tol = cfg_value(cfg, "master.tol", 1e-8, POSITIVE)
     cases, t_range = master_cases(cfg, model, seed)
+    phi = observable_from_config(cfg, model)     # may run the search: last
     residuals = master_residual_scan(model, phi, cases, step=run_step(cfg))
     max_abs = float(np.max(np.abs(residuals)))
     code = EXIT_PASS if max_abs < tol else EXIT_FAIL
@@ -625,7 +622,7 @@ def run_master_check(cfg: dict, out: str, seed: int, threads: int = 1,
 
 def run_decay_fit(cfg: dict, out: str, seed: int, threads: int = 1,
                   force: bool = False) -> dict:
-    decay = decay_probe(model_from_config(cfg), cfg, seed)
+    decay = decay_probe(model_from_config(cfg), seed, decay_settings(cfg))
     return {**decay,
             "exit_code": EXIT_INCONCLUSIVE if decay["flagged"] else EXIT_PASS}
 
@@ -652,11 +649,8 @@ def run_solve(cfg: dict, out: str, seed: int, threads: int = 1,
 def run_simulate(cfg: dict, out: str, seed: int, threads: int = 1,
                  force: bool = False) -> dict:
     model = model_from_config(cfg)
-    [N] = cfg_lattice(cfg, "run.N", 100, model, single=True)
-    R = cfg_int(cfg, "run.R", 1)
-    if R < 1:
-        raise InputError(f"config key run.R: need at least one replication,"
-                         f" got {R}")
+    N = cfg_value(cfg, "run.N", 100, lattice_totals(model.d, single=True))
+    R = cfg_value(cfg, "run.R", 1, COUNT)
     mu0 = initial_measure(cfg, model)
     times = run_grid(cfg)
     if R == 1:

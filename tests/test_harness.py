@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -34,6 +35,8 @@ from mfchain.kolmogorov import make_grid, solve_flow, stationary_distribution
 from mfchain.linearized import check_condition1, check_condition2, estimate_decay
 from mfchain.models import example_chaos, weak_interaction
 from mfchain.particles import sample_initial
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_parse_config_text():
@@ -199,47 +202,133 @@ def test_mc_verdict_fits_no_slope_through_one_size():
     assert two["fit"]["n_points"] == 3
 
 
-@pytest.mark.parametrize("command, key", [("weak-error", "run.R"),
-                                          ("stationary-gap", "gap.R")])
-def test_one_replication_refused_before_any_search(command, key, tmp_path,
-                                                    capfd, monkeypatch):
-    # no standard error from one replication: refused in config terms before
-    # the certification bundle and the stationary search (sq_dist's default
-    # target needs one in both commands)
-    calls = _count_stationary_searches(monkeypatch)
-    monkeypatch.setattr(harness, "certification_bundle",
-                        lambda *a, **k: pytest.fail("certification ran"))
-    assert main([command, "--model.name=example_non_erg", f"--{key}=1",
-                 "--out", str(tmp_path / "o")]) == 1
-    err = capfd.readouterr().err
-    assert err.startswith("mfchain: error: config key " + key)
-    assert calls == []
-
-
-@pytest.mark.parametrize("command, args, key", [
-    ("weak-error", ["--run.Ns=0,8"], "run.Ns"),
-    ("weak-error", ["--run.Ns=8,300000"], "run.Ns"),
-    ("stationary-gap", ["--gap.Ns=10,0"], "gap.Ns"),
-    ("simulate", ["--run.R=5", "--run.N=0"], "run.N"),
-    ("simulate", ["--run.R=5", "--run.N=100000000000"], "run.N"),
-    ("simulate", ["--run.R=0"], "run.R"),
-])
-def test_particle_and_replication_counts_refused_before_any_search(
-        command, args, key, tmp_path, capfd, monkeypatch):
+# every refusal of a bad config value: (command, arguments, refusal); the
+# refusal is the start of the message after `mfchain: error: `, and a plain
+# key K stands for `config key K:`
+ERG, NON_ERG = "--model.name=weak_interaction", "--model.name=example_non_erg"
+Q2 = "--model.name=constant --model.Q=-1,1;1,-1"
+Q3 = "--model.name=constant --model.Q=-1,0.5,0.5;0.5,-1,0.5;0.5,0.5,-1"
+SMALL_WE = f"{ERG} --run.Ns=4,8 --run.R=50 --run.horizon=1"
+MASTER_CFG = "--config=CONFIGS/master_check.cfg"      # CONFIGS: ROOT/configs
+REFUSALS = [
+    # no standard error from one replication; sq_dist's default target
+    # needs a stationary search in both commands
+    ("weak-error", f"{NON_ERG} --run.R=1", "run.R"),
+    ("stationary-gap", f"{NON_ERG} --gap.R=1", "gap.R"),
     # N < 1, a count lattice above MAX_LATTICE (300 001 and 1e11 + 1 states
-    # at d = 2), and R < 1 in simulate: refused in config terms before the
-    # certification bundle and the stationary search.  weak-error's N = 0 was
-    # refused only after certification, and simulate's huge N ended in a raw
-    # memory error from sample_initial
-    calls = _count_stationary_searches(monkeypatch)
-    monkeypatch.setattr(harness, "certification_bundle",
-                        lambda *a, **k: pytest.fail("certification ran"))
-    assert main([command, "--model.name=example_non_erg", *args,
-                 "--out", str(tmp_path / "o")]) == 1
+    # at d = 2), and R < 1 in simulate: weak-error's N = 0 was refused only
+    # after certification, and simulate's huge N ended in a raw memory error
+    ("weak-error", f"{NON_ERG} --run.Ns=0,8", "run.Ns"),
+    ("weak-error", f"{NON_ERG} --run.Ns=8,300000", "run.Ns"),
+    ("weak-error", f"{NON_ERG} --run.Ns=,", "run.Ns"),
+    ("stationary-gap", f"{NON_ERG} --gap.Ns=10,0", "gap.Ns"),
+    ("simulate", f"{NON_ERG} --run.R=5 --run.N=0", "run.N"),
+    ("simulate", f"{NON_ERG} --run.R=5 --run.N=100000000000", "run.N"),
+    ("simulate", f"{NON_ERG} --run.R=5 --run.N=8,16", "run.N"),
+    ("simulate", f"{NON_ERG} --run.R=0", "run.R"),
+    # a NaN target used to give exit 0 with a conclusive verdict and slope NaN
+    ("weak-error", f"{SMALL_WE} --observable.target=nan,1",
+     "observable.target"),
+    ("weak-error", f"{SMALL_WE} --observable.target=0.5", "observable.target"),
+    ("weak-error", f"{SMALL_WE} --observable.name=linear"
+     " --observable.coeffs=inf,1", "observable.coeffs"),
+    ("master-check", f"{ERG} --observable.name=linear", "observable.coeffs"),
+    # a condition-2 lattice with resolution 0, or 501 501 points at d = 3;
+    # at d = 9 the default resolution 15 makes 490 314 points, and the
+    # message used to name no key
+    ("certify", f"{Q3} --certify.resolution=0", "certify.resolution"),
+    ("certify", f"{Q3} --certify.resolution=1000", "certify.resolution"),
+    ("certify", "--model.name=zero --model.d=9", "certify.resolution"),
+    ("certify", f"{ERG} --certify.pairs=0", "certify.pairs"),
+    ("weak-error", f"{SMALL_WE} --certify.pairs=x", "certify.pairs"),
+    # nan used to end as a certified failure (exit 3), and inf passed any
+    # residual
+    *[("master-check", f"{ERG} --master.tol={tol}", "master.tol")
+      for tol in ("nan", "inf", "0", "-1e-5")],
+    # master.* used to be refused by the library, in its own terms, and
+    # only after the stationary search of sq_dist's default target
+    ("master-check", f"{ERG} --master.cases=0", "master.cases"),
+    ("master-check", f"{MASTER_CFG} --master.cases=-3", "master.cases"),
+    ("master-check", f"{MASTER_CFG} --master.tmax=inf", "master.tmax"),
+    ("master-check", f"{ERG} --master.tmax=nan", "master.tmax"),
+    ("master-check", f"{MASTER_CFG} --master.floor=0.6", "master.floor"),
+    ("master-check", f"{ERG} --master.floor=-0.1", "master.floor"),
+    # times at or below the residual stencil's width 1e-4
+    ("master-check", f"{ERG} --observable.target=0.5,0.5 --master.tmin=0"
+     " --master.tmax=0.0001", "master.tmin"),
+    ("master-check", f"{ERG} --master.tmin=1e-4", "master.tmin"),
+    ("master-check", f"{ERG} --master.tmin=5 --master.tmax=1",
+     "need master.tmin <= master.tmax"),
+    # these used to end in the kernel's "need 0 <= burn < end" after the
+    # stationary search and a full decay probe
+    ("stationary-gap", f"{Q2} --gap.burn=1e300",
+     "gap.burn + gap.window must exceed gap.burn"),
+    ("stationary-gap", f"{Q2} --gap.burn=1 --gap.window=1e-17",
+     "gap.burn + gap.window must exceed gap.burn"),
+    ("stationary-gap", f"{Q2} --gap.burn=-1", "gap.burn"),
+    ("stationary-gap", f"{Q2} --gap.burn=inf", "gap.burn"),
+    ("stationary-gap", f"{Q2} --gap.window=0", "gap.window"),
+    ("stationary-gap", f"{Q2} --gap.window=-5", "gap.window"),
+    ("stationary-gap", f"{Q2} --gap.window=inf", "gap.window"),
+    # the flow settings: each was refused by the library, if at all, after
+    # the work that came before its first use
+    ("solve", f"{ERG} --run.step=0", "run.step"),
+    ("certify", f"{ERG} --run.step=nan", "run.step"),
+    ("solve", f"{ERG} --run.horizon=-1", "run.horizon"),
+    ("simulate", f"{ERG} --run.R=5 --run.horizon=inf", "run.horizon"),
+    ("solve", f"{ERG} --run.spacing=0", "run.spacing"),
+    ("weak-error", f"{SMALL_WE} --run.spacing=-0.5", "run.spacing"),
+    ("decay-fit", f"{ERG} --decay.horizon=0", "decay.horizon"),
+    ("certify", f"{ERG} --decay.horizon=inf", "decay.horizon"),
+    ("certify", f"{ERG} --decay.spacing=0", "decay.spacing"),
+    ("decay-fit", f"{ERG} --decay.spacing=nan", "decay.spacing"),
+    ("weak-error", f"{ERG} --decay.random=-1", "decay.random"),
+    ("stationary-gap", f"{Q2} --decay.random=2.5", "decay.random"),
+    # the observable and the initial measure: stationary-gap reads them
+    # before the search it needs for nu
+    ("simulate", f"{ERG} --run.R=5 --observable.name=entropy"
+     " --observable.shift=-1", "observable.shift"),
+    ("stationary-gap", f"{Q2} --observable.name=entropy --observable.shift=0",
+     "observable.shift"),
+    ("solve", f"{ERG} --init.mu=0.5,0.6", "init.mu"),
+    ("stationary-gap", f"{Q2} --init.mu=0.2,0.2", "init.mu"),
+    ("weak-error", f"{SMALL_WE} --init.mu=-0.5,1.5", "init.mu"),
+    ("solve", "--model.name=", "model.name"),
+    ("solve", f"{ERG} --run.seed=x", "run.seed"),
+]
+NO_WORK = ["stationary_distribution", "check_condition1", "check_condition2",
+           "solve_flow", "solve_kolmogorov", "master_residual_scan",
+           "estimate_decay", "mc_observable", "gillespie_batch", "simulate"]
+# any string names an observable; make_observable refuses an unknown name
+# and lists the known ones
+NO_REFUSAL = {"observable.name"}
+
+
+@pytest.mark.parametrize("command, args, refusal", REFUSALS)
+def test_config_values_refused_by_key_before_any_work(
+        command, args, refusal, tmp_path, capfd, monkeypatch):
+    for name in NO_WORK:
+        monkeypatch.setattr(harness, name,
+                            lambda *a, name=name, **k: pytest.fail(name + " ran"))
+    argv = [a.replace("CONFIGS", str(ROOT / "configs")) for a in args.split()]
+    assert main([command, *argv, "--out", str(tmp_path / "o")]) == 1
     err = capfd.readouterr().err
-    assert err.startswith("mfchain: error: config key " + key)
+    start = f"config key {refusal}:" if " " not in refusal else refusal
+    assert err.startswith("mfchain: error: " + start), err
     assert err.count("\n") == 1
-    assert calls == []
+    assert not os.path.exists(tmp_path / "o" / "report.json")
+
+
+def test_refusal_table_covers_every_config_key():
+    # a key read with cfg_value and no row above fails here
+    tree = ast.parse((ROOT / "src" / "mfchain" / "harness.py").read_text())
+    read = {node.args[1].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "cfg_value"
+            and isinstance(node.args[1], ast.Constant)}
+    refused = {refusal for _, _, refusal in REFUSALS}
+    assert len(read) > 20
+    assert read - refused == NO_REFUSAL
 
 
 def test_parse_dotted():
@@ -452,8 +541,11 @@ FUZZ_SIZES = {
 }
 FUZZ_KEYS = ["run.N", "run.R", "run.horizon", "run.spacing", "run.step",
              "init.mu", "model.a", "model.eps", "model.d", "model.Q",
-             "model.foo", "observable.name", "decay.spacing", "decay.random",
-             "run.Ns", "master.cases", "master.tmin", "master.tmax"]
+             "model.foo", "observable.name", "observable.target",
+             "observable.shift", "decay.horizon", "decay.spacing",
+             "decay.random", "certify.pairs", "certify.resolution", "run.Ns",
+             "master.cases", "master.tmin", "master.tmax", "master.floor",
+             "master.tol", "gap.burn", "gap.window"]
 FUZZ_VALUES = ["", "abc", "nan", "inf", "-inf", "-1", "0", "1e400", "0.3",
                "2", "0.5,0.5", "0.5,0.5,0", "1,0", "nan,1", "-1,1;1,-1",
                "1,2;3", "0,0;0,0", "sq_dist", "linear", "entropy"]
@@ -509,37 +601,6 @@ def test_cli_fuzz_stationary_gap(model, sizes, force, overrides):
                          + (["--force"] if force else []))
 
 
-@pytest.mark.parametrize("setting, key", [
-    ("--observable.target=nan,1", "observable.target"),
-    ("--observable.name=linear --observable.coeffs=inf,1", "observable.coeffs"),
-])
-def test_vector_keys_refuse_non_finite_entries(setting, key, tmp_path, capfd):
-    # a NaN target used to give exit 0 with a conclusive verdict and slope NaN
-    assert main(["weak-error", "--model.name=weak_interaction",
-                 *setting.split(), "--run.Ns=4,8", "--run.R=50",
-                 "--run.horizon=1", "--out", str(tmp_path / "o")]) == 1
-    err = capfd.readouterr().err
-    assert err.startswith(f"mfchain: error: config key {key}:")
-    assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize("args", [
-    ["--model.name=constant", "--model.Q=-1,0.5,0.5;0.5,-1,0.5;0.5,0.5,-1",
-     "--certify.resolution=0"],
-    # d = 3: resolution 1000 makes 501 501 lattice points, above MAX_LATTICE
-    ["--model.name=constant", "--model.Q=-1,0.5,0.5;0.5,-1,0.5;0.5,0.5,-1",
-     "--certify.resolution=1000"],
-    # d = 9: the default resolution 15 makes 490 314 points; the message
-    # used to name no key
-    ["--model.name=zero", "--model.d=9"],
-], ids=["0", "1000", "zero-d9-default"])
-def test_certify_resolution_refused_in_config_terms(args, tmp_path, capfd):
-    assert main(["certify", *args, "--out", str(tmp_path / "o")]) == 1
-    err = capfd.readouterr().err
-    assert err.startswith("mfchain: error: config key certify.resolution:")
-    assert err.count("\n") == 1
-
-
 def test_certify_reports_the_library_records(tmp_path):
     # condition1, condition2 and decay in report.json are what the checks
     # return, through a JSON round trip: the harness copies no field
@@ -561,8 +622,10 @@ def test_certify_reports_the_library_records(tmp_path):
 def test_flagged_and_fitted_decay_records_share_their_keys():
     # a probe that leaves the valid region (example_chaos) is recorded with
     # the six keys of a fitted one
-    flagged = harness.decay_probe(example_chaos(), {}, 0)
-    fitted = harness.decay_probe(weak_interaction(), {"decay.horizon": "6"}, 0)
+    flagged = harness.decay_probe(example_chaos(), 0,
+                                  harness.decay_settings({}))
+    fitted = harness.decay_probe(weak_interaction(), 0,
+                                 harness.decay_settings({"decay.horizon": "6"}))
     assert flagged["flagged"] and not fitted["flagged"]
     assert list(flagged) == list(fitted) == [
         "lambda", "c2", "per_sample_rates", "flagged", "horizon", "note"]
@@ -630,23 +693,6 @@ def test_cli_master_check(tmp_path):
     # an absurd tolerance turns the same scan into a certified failure
     assert main(base + ["--master.tol=1e-30",
                         "--out", str(tmp_path / "bad")]) == 3
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-5"])
-def test_master_tol_refused_before_any_solve(tol, tmp_path, capfd,
-                                             monkeypatch):
-    # nan used to end as a certified failure (exit 3), and inf passed any
-    # residual; sq_dist's default target would run the stationary search
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a solve ran before master.tol was checked")
-
-    monkeypatch.setattr(harness, "stationary_distribution", no_solve)
-    monkeypatch.setattr(harness, "master_residual_scan", no_solve)
-    assert main(["master-check", "--model.name=weak_interaction",
-                 f"--master.tol={tol}", "--out", str(tmp_path / "o")]) == 1
-    err = capfd.readouterr().err
-    assert err.startswith("mfchain: error: config key master.tol:")
-    assert err.count("\n") == 1
 
 
 def test_cli_decay_fit(tmp_path):
@@ -855,26 +901,6 @@ def test_stationary_gap_searches_once_for_nu_and_target(tmp_path, monkeypatch):
     assert json.load(open(os.path.join(out, "report.json")))["phi_at_nu"] == 0.0
 
 
-@pytest.mark.parametrize("setting, key", [
-    ("--gap.burn=1e300", "gap.burn + gap.window"),
-    ("--gap.burn=-1", "gap.burn"), ("--gap.burn=inf", "gap.burn"),
-    ("--gap.window=0", "gap.window"), ("--gap.window=-5", "gap.window"),
-    ("--gap.window=inf", "gap.window"),
-    ("--gap.burn=1 --gap.window=1e-17", "gap.burn + gap.window"),
-])
-def test_stationary_gap_checks_burn_and_window_first(setting, key, tmp_path,
-                                                     monkeypatch, capfd):
-    # these used to end in the kernel's "need 0 <= burn < end" after the
-    # stationary search and a full decay probe
-    calls = _count_stationary_searches(monkeypatch)
-    assert main(["stationary-gap", "--model.name=constant",
-                 "--model.Q=-1,1;1,-1", *setting.split(),
-                 "--out", str(tmp_path / "o")]) == 1
-    err = capfd.readouterr().err
-    assert f"mfchain: error: config key {key}:" in err or f"error: {key} must" in err
-    assert calls == []
-
-
 def test_stationary_gap_thread_identity(tmp_path):
     # R > 5000 gives two chunks, so the threads really split the work
     base = ["stationary-gap", "--model.name=constant", "--model.Q=-1,1;1,-1",
@@ -889,8 +915,6 @@ def test_stationary_gap_thread_identity(tmp_path):
         b2 = open(os.path.join(out2, fname), "rb").read()
         assert b1 == b2
 
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
