@@ -16,6 +16,10 @@ in ROOT, and each round alternates which root goes first.  Measurements:
   kernel            events / s of one gillespie_batch call at N = 8, 64, 256:
                     5000 rows of weak_interaction from (0.9, 0.1) on the
                     81-point grid [0, 20], one process;
+  initial_counts    wall time (ms) and tracemalloc peak (MiB) of one
+                    initial_counts call at N = 8, 64, 256: R = 20000 starts
+                    from (0.9, 0.1), seed 12345; the peak is a separate,
+                    traced call after the timed one;
   mc_grid_<w>       mc-grid's two `simulate` ops (configs/weak_error.cfg at
                     N = 8 and 64, R = 20000, seed 12345) at --threads w = 1
                     and 2; each mc.csv is compared with results/weak_error/.
@@ -28,8 +32,8 @@ committed results/.
 
 Prints one JSON object: per root and measurement, each timing's runs with
 their quartiles and median, and the first round's facts (rates and
-derivative calls, result digest, mc.csv equality).  results_identical: per
-measurement, whether both roots give equal digests;
+derivative calls, initial_counts peaks, result digest, mc.csv equality).
+results_identical: per measurement, whether both roots give equal digests;
 counts_and_digests_repeat: every round gave the same facts.
 """
 
@@ -104,6 +108,20 @@ def measure_kernel():
         counts.append(res["lattice"][res["states"]])       # (R, T, d)
     return rate, {"digest": digest(*counts)}
 
+def measure_init():
+    import tracemalloc
+    particles.initial_counts([0.9, 0.1], 8, 50, 1)                   # warm-up
+    ms, peak, counts = {}, {}, []
+    for N in (8, 64, 256):
+        t0 = time.perf_counter()
+        counts.append(particles.initial_counts([0.9, 0.1], N, 20000, 12345))
+        ms[f"wall_ms_N{N}"] = 1e3 * (time.perf_counter() - t0)
+        tracemalloc.start()
+        particles.initial_counts([0.9, 0.1], N, 20000, 12345)
+        peak[f"peak_mib_N{N}"] = round(tracemalloc.get_traced_memory()[1] / 2**20, 3)
+        tracemalloc.stop()
+    return ms, {**peak, "digest": digest(*counts)}
+
 def measure_mc_grid(threads):
     from mfchain.cli import main
     same, csvs = True, []
@@ -119,13 +137,14 @@ def measure_mc_grid(threads):
     return {"wall_s": wall}, {"identical_to_results": same, "digest": digest(*csvs)}
 
 times, facts = (measure_kernel() if name == "kernel" else
+                measure_init() if name == "initial_counts" else
                 measure_mc_grid(name[8:]) if name.startswith("mc_grid_") else measure_flow())
 print(json.dumps({"times": times, "facts": facts}))
 """
 
 MEASUREMENTS = ("solve_slow_conv", "decay_weak_interaction",
                 "decay_example_slow_conv", "decay_example_non_erg", "master_scan",
-                "kernel", "mc_grid_1", "mc_grid_2")
+                "kernel", "initial_counts", "mc_grid_1", "mc_grid_2")
 STUDIES = (("run_weak_error.sh", "weak_error"),
            ("run_stationary_gap.sh", "stationary_gap"))
 

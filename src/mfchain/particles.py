@@ -35,7 +35,10 @@ waiting time crosses, and fills the times it skipped forward at the end.
 
 Randomness layout per replication (see rng module): the init domain uses
 draw i for particle i's initial state; the event domain uses draws 2k and
-2k+1 for the waiting time and transition choice of event k.
+2k+1 for the waiting time and transition choice of event k.  sample_initial
+takes the init draws in blocks of particles across every row, at most
+INIT_BLOCK draws (or one particle a row) at a time: the same counters, so
+the same counts, and memory that does not grow with N.
 
 Monte Carlo on a grid has one estimator, mc_observable: replication r runs
 from counts0[r], usually initial_counts (every start, sampled in the calling
@@ -59,6 +62,7 @@ from .models import Model
 from .simplex import as_measure, check_lattice, count_lattice, lattice_index
 
 CHUNK = 5000
+INIT_BLOCK = 2**14         # most init draws live at once in sample_initial
 MAX_EVENTS = 10**9         # per replication; more means a runaway simulation
 _WAIT_CAT = np.array([[0], [1]], dtype=np.uint64)    # draw offsets 2k, 2k + 1
 
@@ -68,7 +72,10 @@ def sample_initial(mu0, N: int, seed: int, reps) -> np.ndarray:
 
     reps is a 1-d array of replication indices.  Particle i of replication r
     consumes draw i of the init domain of stream (seed, r), so the same
-    (seed, r, N) always yields the same configuration.
+    (seed, r, N) always yields the same configuration.  The draws are taken
+    in blocks of particles across every row, at most INIT_BLOCK draws per
+    block (one particle per block beyond INIT_BLOCK rows), so memory stays
+    O(len(reps) * d + INIT_BLOCK) for any N.
     """
     mu0 = as_measure(mu0)
     if N < 1:
@@ -78,23 +85,27 @@ def sample_initial(mu0, N: int, seed: int, reps) -> np.ndarray:
     if reps.ndim != 1:
         raise InputError(f"reps must be a 1-d array of replication indices,"
                          f" got shape {reps.shape}")
-    keys = rng.domain_key(rng.stream_key(seed, reps), rng.DOMAIN_INIT)
-    u = rng.uniforms(keys[:, None], np.arange(N, dtype=np.uint64)[None, :])
+    R = len(reps)
+    keys = rng.domain_key(rng.stream_key(seed, reps), rng.DOMAIN_INIT)[:, None]
     cdf = np.cumsum(mu0)
     cdf[-1] = 1.0
-    states = np.searchsorted(cdf, u, side="left")       # (R, N)
-    states += d * np.arange(len(reps))[:, None]         # row r's states
-    return np.bincount(states.ravel(), minlength=len(reps) * d).reshape(-1, d)
+    offset = d * np.arange(R)[:, None]                  # row r's states
+    counts = np.zeros(R * d, dtype=np.int64)
+    step = max(1, INIT_BLOCK // max(R, 1))              # particles per block
+    for lo in range(0, N, step):
+        u = rng.uniforms(keys, np.arange(lo, min(lo + step, N),
+                                         dtype=np.uint64)[None, :])
+        states = np.searchsorted(cdf, u, side="left")   # (R, block)
+        states += offset
+        counts += np.bincount(states.ravel(), minlength=R * d)
+    return counts.reshape(-1, d)
 
 
 def initial_counts(mu0, N: int, R: int, seed: int) -> np.ndarray:
-    """sample_initial of replications 0..R-1, chunk by chunk: (R, d)."""
+    """sample_initial of replications 0..R-1: (R, d)."""
     if R < 1:
         raise InputError(f"need at least one replication, got R = {R}")
-    return np.concatenate(run_chunks(
-        lambda lo, hi: sample_initial(mu0, N, seed,
-                                      np.arange(lo, hi, dtype=np.uint64)),
-        R), axis=0)
+    return sample_initial(mu0, N, seed, np.arange(R, dtype=np.uint64))
 
 
 @np.errstate(divide="ignore", invalid="ignore")     # dead rows, see below

@@ -94,8 +94,10 @@ def raw_draws(subkey, index):
 
 def uniforms(subkey, index):
     """Uniform draws in (0, 1] for the given counters (broadcasts)."""
-    r = raw_draws(subkey, index)
-    return ((r >> _S11) + _ONE) * _INV53
+    r = raw_draws(subkey, index)                # a new array: work in place
+    r >>= _S11
+    r += _ONE                                   # at most 2**53: fits int64
+    return r.view(np.int64) * _INV53            # int64 -> float64 is fast
 
 
 def uniform_block(seed: int, rep: int, domain: int, start: int, n: int):

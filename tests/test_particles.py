@@ -1,6 +1,7 @@
 import hashlib
 import multiprocessing
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mfchain.models import (Model, ValidRegion, constant, example_chaos,
                             weak_interaction, zero)
 from mfchain.particles import (
     CHUNK,
+    INIT_BLOCK,
     gillespie_batch,
     initial_counts,
     mc_moments,
@@ -54,13 +56,22 @@ def test_sample_initial_distribution():
     assert chi2 < 10.83                  # chi^2_1 at 99.9%
 
 
-def test_initial_counts_match_one_batch_across_chunks():
-    # R spans two chunks; each row is the count vector of its own draws
-    mu0, N, R, seed = [0.2, 0.5, 0.3], 6, CHUNK + 3, 4
+@pytest.mark.parametrize("mu0, N, R", [
+    ([0.2, 0.5, 0.3], 6, CHUNK + 3),
+    ([0.25, 0.75], 3, INIT_BLOCK + 5),
+    ([0.125, 0.25, 0.5, 0.125], 5000, 7),
+    ([0.25, 0.75], 1, 10),
+    ([0.125, 0.25, 0.5, 0.125], 257, 70),
+], ids=["rows-past-one-chunk", "one-particle-a-block", "ragged-last-block",
+        "one-particle", "d4"])
+def test_initial_counts_match_one_batch_across_chunks(mu0, N, R):
+    # each row is the count vector of its own draws, however they are blocked
+    seed, d = 4, len(mu0)
     counts = initial_counts(mu0, N, R, seed)
+    assert counts.dtype == np.int64
     assert np.array_equal(counts, sample_initial(mu0, N, seed, np.arange(R)))
-    assert counts.shape == (R, 3) and np.all(counts.sum(axis=1) == N)
-    rows = np.array([7, 2, CHUNK + 1])
+    assert counts.shape == (R, d) and np.all(counts.sum(axis=1) == N)
+    rows = np.array([R - 1, 2, R // 2])
     assert np.array_equal(sample_initial(mu0, N, seed, rows), counts[rows])
     # reference: each row's states from its own init draws, counted row by row
     keys = rng.domain_key(rng.stream_key(seed, rows.astype(np.uint64)),
@@ -68,9 +79,25 @@ def test_initial_counts_match_one_batch_across_chunks():
     u = rng.uniforms(keys[:, None], np.arange(N, dtype=np.uint64)[None, :])
     states = np.searchsorted(np.cumsum(mu0), u, side="left")
     assert np.array_equal(counts[rows],
-                          [np.bincount(s, minlength=3) for s in states])
+                          [np.bincount(s, minlength=d) for s in states])
     with pytest.raises(InputError, match="at least one replication"):
         initial_counts(mu0, N, 0, seed)
+
+
+def test_sample_initial_memory_does_not_grow_with_n():
+    # the (rows, N) draws are never all live: a whole-array sampler peaks at
+    # about 47 MiB here
+    mu0, reps = [0.2, 0.5, 0.3], np.arange(2000)
+    peaks = []
+    for N in (64, 1024):
+        tracemalloc.start()
+        try:
+            sample_initial(mu0, N, 1, reps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * 2**20
+    assert peaks[1] <= peaks[0] + 2**16
 
 
 def test_constant_chain_matches_marginal_law():

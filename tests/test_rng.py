@@ -12,6 +12,33 @@ def test_mix64_known_answer():
     assert int(v) == 0xE220A8397B1DCDAF
 
 
+def splitmix_uniform(subkey, k):
+    """uniforms in pure Python integers: SplitMix64 of subkey + k * PHI."""
+    x = (subkey + k * 0x9E3779B97F4A7C15) & rng.MASK64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & rng.MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & rng.MASK64
+    x ^= x >> 31
+    return x, ((x >> 11) + 1) * 2.0**-53
+
+
+def test_uniforms_known_answer():
+    # raw(0, 1) is the mix64 known answer, whose top bit is set
+    assert rng.uniforms(np.uint64(0), 1) == ((0xE220A8397B1DCDAF >> 11) + 1) * 2.0**-53
+    # counters near 2**64 and a subkey near 2**64 wrap the sum mod 2**64
+    subkeys = [0, 1, 0x8000000000000000, rng.MASK64]
+    counters = [0, 1, 2, 1000, 2**32, 2**63 - 1, 2**63, rng.MASK64 - 1, rng.MASK64]
+    top_bit = 0
+    for key in subkeys:
+        got = rng.uniforms(np.uint64(key), np.array(counters, dtype=np.uint64))
+        ref = [splitmix_uniform(key, k) for k in counters]
+        assert got.dtype == np.float64 and got.tolist() == [u for _, u in ref]
+        assert [rng.uniforms(np.uint64(key), np.uint64(k)) for k in counters] == got.tolist()
+        top_bit += sum(raw >> 63 for raw, _ in ref)
+    assert top_bit > 0
+
+
 def test_mix64_array_matches_scalar():
     xs = np.arange(1000, dtype=np.uint64) * np.uint64(0x123456789)
     arr = rng.mix64(xs)
