@@ -22,7 +22,12 @@ in ROOT, and each round alternates which root goes first.  Measurements:
                     traced call after the timed one;
   mc_grid_<w>       mc-grid's two `simulate` ops (configs/weak_error.cfg at
                     N = 8 and 64, R = 20000, seed 12345) at --threads w = 1
-                    and 2; each mc.csv is compared with results/weak_error/.
+                    and 2; each mc.csv is compared with results/weak_error/;
+  peak_rss          peak resident set (MB, ru_maxrss of the interpreter or
+                    of its largest worker, whichever is larger) of a fresh
+                    interpreter that imports only mfchain.cli, after one
+                    `certify --model.name=example_slow_conv` and then after
+                    one mc-grid `simulate` at N = 64 with --threads 2.
 
 The first three kinds run once with Model.rates and Model.rate_derivative
 wrapped by counters (also a warm-up), then once timed.  --studies adds, once
@@ -30,10 +35,12 @@ per root, the wall time of scripts/run_weak_error.sh and
 run_stationary_gap.sh at --threads 2 and whether their artifacts equal the
 committed results/.
 
-Prints one JSON object: per root and measurement, each timing's runs with
-their quartiles and median, and the first round's facts (rates and
-derivative calls, initial_counts peaks, result digest, mc.csv equality).
-results_identical: per measurement, whether both roots give equal digests;
+Prints one JSON object: per root and measurement, each timing's (or
+peak_rss's MB) runs with their quartiles and median, and the first round's
+facts (rates and derivative calls, initial_counts peaks, result digest,
+mc.csv equality, peak_rss's exit codes).
+results_identical: per measurement with a digest, whether both roots give
+equal digests;
 counts_and_digests_repeat: every round gave the same facts.
 """
 
@@ -48,6 +55,29 @@ import tempfile
 import time
 
 import numpy as np
+
+# peak_rss runs alone in its interpreter: CHILD's own imports (hashlib for
+# the digests) would add to the resident set it measures
+RSS_CHILD = r"""
+import json, os, resource, sys, tempfile
+root = sys.argv[1]
+sys.path.insert(0, root + "/src")
+os.chdir(root)
+from mfchain.cli import main
+
+def peak_mb():
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return max(own, kids) / 1024.0
+
+with tempfile.TemporaryDirectory() as tmp:
+    codes = [main(["certify", "--model.name=example_slow_conv", "--out", tmp + "/c"])]
+    certify = peak_mb()
+    codes.append(main(["simulate", "--config", "configs/weak_error.cfg", "--run.N=64",
+                       "--seed", "12345", "--threads", "2", "--out", tmp + "/s"]))
+print(json.dumps({"times": {"certify_mb": certify, "simulate_mb": peak_mb()},
+                  "facts": {"exit_codes": codes}}))
+"""
 
 CHILD = r"""
 import dataclasses, hashlib, json, os, sys, tempfile, time
@@ -144,14 +174,16 @@ print(json.dumps({"times": times, "facts": facts}))
 
 MEASUREMENTS = ("solve_slow_conv", "decay_weak_interaction",
                 "decay_example_slow_conv", "decay_example_non_erg", "master_scan",
-                "kernel", "initial_counts", "mc_grid_1", "mc_grid_2")
+                "kernel", "initial_counts", "mc_grid_1", "mc_grid_2", "peak_rss")
 STUDIES = (("run_weak_error.sh", "weak_error"),
            ("run_stationary_gap.sh", "stationary_gap"))
 
 
 def child(root: str, name: str) -> dict:
-    """One measurement in a fresh interpreter: {"times": ..., "facts": ...}."""
-    res = subprocess.run([sys.executable, "-c", CHILD, root, name], check=True,
+    """One measurement in a fresh interpreter: {"times": ..., "facts": ...},
+    where "times" holds the measured values that vary from run to run."""
+    code = RSS_CHILD if name == "peak_rss" else CHILD
+    res = subprocess.run([sys.executable, "-c", code, root, name], check=True,
                          capture_output=True, text=True)
     return json.loads(res.stdout)
 
@@ -200,7 +232,7 @@ def main() -> int:
                          for t in rs[0]["times"]}, **rs[0]["facts"]}
                   for m, rs in runs[s].items()}
     out["results_identical"] = {m: out["before"][m]["digest"] == out["after"][m]["digest"]
-                                for m in MEASUREMENTS}
+                                for m in MEASUREMENTS if "digest" in out["before"][m]}
     out["counts_and_digests_repeat"] = all(r["facts"] == rs[0]["facts"]
                                            for s in sides for rs in runs[s].values()
                                            for r in rs)

@@ -18,10 +18,14 @@ to become conclusive), 3 certified failure (a definite counterexample).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from typing import Callable, Optional
+
+try:
+    from _sha1 import sha1
+except ImportError:                     # a CPython built without it
+    from hashlib import sha1
 
 import numpy as np
 
@@ -37,7 +41,7 @@ from .kolmogorov import (
 from .linearized import (check_condition1, check_condition2,
                          default_resolution, estimate_decay)
 from .master import DT_STENCIL, master_residual_scan
-from .models import Model, make_model
+from .models import MAX_PAIRS, Model, make_model
 from .particles import (gillespie_batch, initial_counts, mc_moments,
                         mc_observable, sample_initial, simulate)
 from .simplex import (ScalarField, as_measure, barycenter, check_lattice,
@@ -263,7 +267,9 @@ def certify_settings(cfg: dict, model: Model) -> dict:
         "resolution": cfg_value(cfg, "certify.resolution",
                                 default_resolution(model.d),
                                 lattice_totals(model.d, single=True)),
-        "n_pairs": cfg_value(cfg, "certify.pairs", 10_000, COUNT),
+        "n_pairs": cfg_value(cfg, "certify.pairs", 10_000, checked(
+            int, lambda n: 1 <= n <= MAX_PAIRS,
+            f"an integer in [1, {MAX_PAIRS:,}]")),
         "decay": decay_settings(cfg),
     }
 
@@ -301,10 +307,15 @@ def json_default(obj):
 
 
 def config_hash(payload: dict) -> str:
-    """Content hash of the canonical JSON, git blob style."""
+    """Content hash of the canonical JSON, git blob style.
+
+    The SHA-1 comes from CPython's built-in _sha1 module, the one hashlib
+    falls back to: importing hashlib loads OpenSSL's libcrypto, about 3.5 MB
+    of resident memory in every command for one 40-character digest.
+    """
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       default=json_default).encode()
-    return hashlib.sha1(b"blob %d\0" % len(blob) + blob).hexdigest()
+    return sha1(b"blob %d\0" % len(blob) + blob).hexdigest()
 
 
 def report_envelope(command: str, cfg: dict, seed: int) -> dict:

@@ -23,8 +23,9 @@ from one rates_and_margin call on all of the block's stage measures and the
 same stage loop on the rows of the identity, and the tangent rows then
 advance by one matrix product per substep.  A block holds at most
 models.MARGIN_ROWS stage measures (but at least one substep), so its memory
-grows neither with the interval length nor, until a single substep exceeds
-the cap, with the batch.
+does not grow with the interval length; a block of one substep with more
+stage measures than that is linearized MARGIN_ROWS measures at a time, so
+no rates_and_margin call exceeds the cap at any batch size.
 """
 
 from __future__ import annotations
@@ -176,15 +177,20 @@ def _step_propagators(model: Model, S, ts, h: float, source, k: int):
     tangent equation q' = q A(m) + r maps q to q @ M + e.
 
     S: (12, n, B, d) stage measures of n substeps of length h, started at
-    the times ts.  The linearizations A_s come from one rates_and_margin
-    call on all of them.  The tangent equation is linear, so the step is
+    the times ts.  The linearizations A_s come from rates_and_margin calls
+    on at most MARGIN_ROWS of them each, one call unless a single substep of
+    a large batch holds more (each measure's A depends on it alone, so the
+    chunks move no bit).  The tangent equation is linear, so the step is
     the stage loop run on the rows of the identity, G_s = (I + h sum_j
     a_sj G_j) A_s and M = I + h sum_s b_s G_s, and e is the same step
     started from 0 with r at each stage time.  Returns M (n, B, d, d) and,
     with a source, e (n, B, k, d); else None.
     """
     nst, n, B, d = S.shape
-    A = rates_and_margin(model, S.reshape(-1, d))[1].reshape(nst, n * B, d, d)
+    S = S.reshape(-1, d)
+    A = np.concatenate([rates_and_margin(model, S[lo : lo + MARGIN_ROWS])[1]
+                        for lo in range(0, len(S), MARGIN_ROWS)]
+                       ).reshape(nst, n * B, d, d)
     rows = d if source is None else d + k          # identity, then k zero rows
     y = np.zeros((n * B, rows, d))
     y[:, range(d), range(d)] = 1.0

@@ -95,6 +95,9 @@ def rate_derivative_tensor(model: Model, mus) -> np.ndarray:
 # measures per rates_and_margin call where many are batched: condition 2's
 # lattice chunks and the step-propagator blocks of kolmogorov.solve_flow
 MARGIN_ROWS = 1024
+# sampled pairs (or measures) a certificate may ask for: at 10**8, a sampled K
+# of a two-state model takes about 30 s on one core
+MAX_PAIRS = 10**8
 
 
 def rates_and_margin(model: Model, mus) -> tuple:
@@ -132,16 +135,23 @@ def estimate_lipschitz(model: Model, n_pairs: int = 10_000, seed: int = 0) -> fl
     |.|_rsa is the maximum absolute row sum.  A sampled value slightly
     under-estimates the true constant, which is the conservative direction
     for the K < L/d certificate (harder to pass, never falsely passes).
+    The pairs are drawn and compared MARGIN_ROWS at a time, so memory does
+    not grow with n_pairs; a maximum over blocks is the maximum over all.
     """
     floor = model.valid_region.min_mass
     floor = floor + 0.005 if floor > 0 else 0.0
-    mus = rng.random_measures(seed, n_pairs, model.d, floor=floor)
-    nus = rng.random_measures(seed, n_pairs, model.d, floor=floor, rep=1)
-    dA = model.rates(mus) - model.rates(nus)
-    num = np.abs(dA).sum(axis=-1).max(axis=-1)
-    den = np.abs(mus - nus).sum(axis=-1)
-    keep = den > 1e-9
-    return float(np.max(num[keep] / den[keep]))
+    maxima = []
+    for lo in range(0, n_pairs, MARGIN_ROWS):
+        n = min(MARGIN_ROWS, n_pairs - lo)
+        mus = rng.random_measures(seed, n, model.d, floor=floor, start=lo)
+        nus = rng.random_measures(seed, n, model.d, floor=floor, rep=1, start=lo)
+        dA = model.rates(mus) - model.rates(nus)
+        num = np.abs(dA).sum(axis=-1).max(axis=-1)
+        den = np.abs(mus - nus).sum(axis=-1)
+        keep = den > 1e-9
+        if keep.any():
+            maxima.append(np.max(num[keep] / den[keep]))
+    return float(np.max(maxima))
 
 
 # ---------------------------------------------------------------------------

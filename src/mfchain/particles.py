@@ -361,6 +361,12 @@ def mc_moments(values: Callable[[int, int], np.ndarray], R: int,
     are added in chunk order (see run_chunks), so the result is
     bit-identical for any worker count.  Returns (mean, stderr), each
     shaped like one replication's value.
+
+    A chunk array that owns its data (x.flags.owndata: values built it) is
+    squared in place once its sum is taken, so a worker holds one chunk-sized
+    array, not two.  A view, such as a slice of the caller's array, is
+    squared into a new array and never written; values must not return an
+    array of its own that it keeps and reads again.
     """
     if R < 2:
         raise InputError(f"need at least two replications for a standard"
@@ -368,7 +374,9 @@ def mc_moments(values: Callable[[int, int], np.ndarray], R: int,
 
     def sums(lo, hi):
         x = values(lo, hi)
-        return x.sum(axis=0), (x * x).sum(axis=0)
+        s1 = x.sum(axis=0)
+        own = x.flags.owndata and x.flags.writeable
+        return s1, np.multiply(x, x, out=x if own else None).sum(axis=0)
 
     per_chunk = run_chunks(sums, R, threads)
     s1 = sum(s for s, _ in per_chunk)

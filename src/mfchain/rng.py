@@ -106,16 +106,19 @@ def uniform_block(seed: int, rep: int, domain: int, start: int, n: int):
     return uniforms(key, np.arange(start, start + n, dtype=np.uint64))
 
 
-def random_measures(seed: int, n: int, d: int, floor: float = 0.0, rep: int = 0):
-    """``n`` deterministic pseudo-random points of the d-simplex.
+def random_measures(seed: int, n: int, d: int, floor: float = 0.0, rep: int = 0,
+                    start: int = 0):
+    """Points ``start`` .. ``start + n - 1`` of a deterministic pseudo-random
+    sequence on the d-simplex.
 
     Uniform on the simplex via normalized exponential spacings; with
     ``floor`` > 0 the points are squeezed into the region where every
-    coordinate is at least ``floor``.
+    coordinate is at least ``floor``.  Each point is transformed on its own,
+    so a sequence drawn in blocks equals the one drawn at once, bit for bit.
     """
     if not 0.0 <= floor * d < 1.0:
         raise InputError("floor must satisfy 0 <= floor*d < 1")
-    u = uniform_block(seed, rep, DOMAIN_SCAN, 0, n * d).reshape(n, d)
+    u = uniform_block(seed, rep, DOMAIN_SCAN, start * d, n * d).reshape(n, d)
     e = -np.log(u)
     w = e / e.sum(axis=1, keepdims=True)
     return floor + (1.0 - d * floor) * w

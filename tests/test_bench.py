@@ -15,11 +15,12 @@ def load_bench():
 
 def test_master_scan_child_counts_rates_calls():
     # 206 substeps of 12 stages and one drift call (2 473, the count in
-    # BENCH_master.json), plus one call per block of step propagators: 100
-    # cases make a block of one substep
+    # BENCH_master.json), plus the step propagators' calls: 100 cases make
+    # a block of one substep with 1 200 stage measures, linearized in two
+    # calls of at most MARGIN_ROWS = 1024 measures
     rec = load_bench().child(str(ROOT), "master_scan")
-    assert rec["facts"]["rates_calls"] == 12 * 206 + 1 + 206
-    assert rec["facts"]["derivative_calls"] == 206
+    assert rec["facts"]["rates_calls"] == 12 * 206 + 1 + 2 * 206
+    assert rec["facts"]["derivative_calls"] == 2 * 206
     assert rec["times"]["wall_s"] > 0
     assert len(rec["facts"]["digest"]) == 16
 
@@ -32,3 +33,11 @@ def test_initial_counts_child_peak_does_not_grow_with_n():
     assert max(peaks) < 2.0 and peaks[2] <= peaks[0]
     assert all(rec["times"][f"wall_ms_N{N}"] > 0 for N in (8, 64, 256))
     assert rec["facts"]["digest"] == "82004eb53ea3cbb2"   # whole-array counts
+
+
+def test_peak_rss_child_reports_certify_and_simulate():
+    # certify exits 2 (inconclusive) on example_slow_conv, simulate 0
+    rec = load_bench().child(str(ROOT), "peak_rss")
+    assert rec["facts"]["exit_codes"] == [2, 0]
+    certify, simulate = rec["times"]["certify_mb"], rec["times"]["simulate_mb"]
+    assert 0 < certify <= simulate

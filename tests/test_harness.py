@@ -4,6 +4,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -110,6 +112,39 @@ def test_config_hash_canonical():
     c = {"command": "solve", "config": {"x.a": "1", "x.b": "3"}, "seed": 0}
     assert config_hash(a) != config_hash(c)
     assert len(config_hash(a)) == 40
+
+
+def test_config_hash_is_the_git_blob_sha1():
+    import hashlib                       # here only: mfchain never loads it
+    payload = {"command": "certify", "config": {"model.name": "zero"}, "seed": 7}
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    assert config_hash(payload) == hashlib.sha1(
+        b"blob %d\0" % len(blob) + blob).hexdigest()
+    with open(ROOT / "results" / "certify_example_slow_conv" / "report.json") as fh:
+        rep = json.load(fh)
+    assert rep["config_hash"] == "ac3d9a676adf0052fa7e5e256b532fd81d8ff71e"
+    assert config_hash({"command": rep["command"], "config": rep["config"],
+                        "seed": rep["seed"]}) == rep["config_hash"]
+
+
+def test_commands_never_load_openssl(tmp_path):
+    # hashlib's OpenSSL backend (_hashlib, libcrypto) costs every command
+    # about 3.5 MB of resident memory; the report hash needs only _sha1.
+    # simulate at R = 10 000 runs two 5000-row chunks in forked workers.
+    script = f"""
+import sys
+from mfchain.cli import main
+out = {str(tmp_path)!r}
+codes = [main(["certify", "--model.name=example_slow_conv", "--out", out + "/c"]),
+         main(["simulate", "--model.name=weak_interaction", "--run.N=8",
+               "--run.R=10000", "--run.horizon=1", "--threads", "2",
+               "--out", out + "/s"])]
+print(codes, "_hashlib" in sys.modules, "hashlib" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True)
+    assert res.stdout.split("\n")[-2] == "[2, 0] False False"
 
 
 def test_report_envelope_shape():
@@ -240,6 +275,9 @@ REFUSALS = [
     ("certify", f"{Q3} --certify.resolution=1000", "certify.resolution"),
     ("certify", "--model.name=zero --model.d=9", "certify.resolution"),
     ("certify", f"{ERG} --certify.pairs=0", "certify.pairs"),
+    # above models.MAX_PAIRS; 1e11 pairs used to end in a raw memory error
+    ("certify", "--model.name=example_slow_conv --certify.pairs=100000000000",
+     "certify.pairs"),
     ("weak-error", f"{SMALL_WE} --certify.pairs=x", "certify.pairs"),
     # nan used to end as a certified failure (exit 3), and inf passed any
     # residual

@@ -260,6 +260,36 @@ def test_rows_do_not_depend_on_how_blocks_split_an_interval(model):
         assert np.array_equal(tangents[i], alone[1][0]), i
 
 
+@pytest.mark.parametrize("model", [example_non_erg(), example_chaos()],
+                         ids=lambda m: m.name)
+def test_propagator_blocks_stay_under_the_cap_at_any_batch(model, monkeypatch):
+    # 100 rows make a block of one substep with 1 200 stage measures; they
+    # are linearized MARGIN_ROWS at a time, and every row's states and
+    # tangents are bitwise those of its own solve
+    d, B = model.d, 100
+    mus = 0.9 / d + 0.1 * random_measures(6, B, d)
+    frames = np.eye(d) - mus[:, None, :]
+    times = [0.0, 0.1, 0.16]
+    sizes = []
+
+    def counted(model, mus):
+        sizes.append(len(mus))
+        return rates_and_margin(model, mus)
+
+    def source(t):
+        return np.cos(t) * (np.eye(d) - 1.0 / d)
+
+    monkeypatch.setattr(kolmogorov, "rates_and_margin", counted)
+    states, tangents = solve_flow(model, mus, times, Q0=frames, source=source)
+    assert max(sizes) <= MARGIN_ROWS
+    assert sorted(set(sizes)) == [12 * B - MARGIN_ROWS, MARGIN_ROWS]
+    for i in range(B):
+        alone = solve_flow(model, mus[i:i + 1], times, Q0=frames[i:i + 1],
+                           source=source)
+        assert np.array_equal(states[i], alone[0][0]), i
+        assert np.array_equal(tangents[i], alone[1][0]), i
+
+
 def test_solve_flow_rejects_bad_grids():
     model = weak_interaction()
     for times in BAD_GRIDS:

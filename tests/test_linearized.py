@@ -1,10 +1,11 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 
-from mfchain import linearized
+from mfchain import linearized, rng
 from mfchain.errors import InputError
 from mfchain.linearized import (
     check_condition1,
@@ -16,6 +17,7 @@ from mfchain.linearized import (
 )
 from mfchain.kolmogorov import DEFAULT_STEP, make_grid, solve_flow, solve_kolmogorov
 from mfchain.models import (
+    MAX_PAIRS,
     constant,
     example_chaos,
     example_non_erg,
@@ -225,6 +227,22 @@ def test_condition1_non_erg_fails():
     assert rep["verdict"] == "fail"
     assert rep["margin"] < 0
     assert "estimated" in rep["notes"]
+
+
+@pytest.mark.parametrize("n_pairs", [1, 1025, 2500])
+def test_condition1_sampled_L_blocks_equal_one_shot(n_pairs):
+    # a model that declares no L: its sampled minimum off-diagonal rate
+    model = dataclasses.replace(example_chaos(), L=None, K=1.0)
+    mus = rng.random_measures(2, n_pairs, 4, floor=0.01)
+    one_shot = model.rates(mus)[:, ~np.eye(4, dtype=bool)].min()
+    rep = check_condition1(model, n_pairs=n_pairs, seed=2)
+    assert rep["estimated_constants"]["L"] == one_shot
+    assert rep["notes"] == f"L estimated from {n_pairs} sampled measures"
+
+
+def test_condition1_refuses_pairs_above_the_cap():
+    with pytest.raises(InputError, match="n_pairs"):
+        check_condition1(example_slow_conv(), n_pairs=MAX_PAIRS + 1)
 
 
 def test_condition2_weak_interaction_certified():

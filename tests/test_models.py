@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 
-from mfchain import models
+from mfchain import models, rng
 from mfchain.cli import main
 from mfchain.errors import InputError
 from mfchain.models import (
+    MARGIN_ROWS,
     Model,
     ValidRegion,
     check_rate_matrix,
@@ -177,6 +180,42 @@ def test_estimate_lipschitz_weak_is_exact():
     # |alpha(mu)-alpha(nu)|_rsa = eps |mu-nu|_1 identically for this family
     k = estimate_lipschitz(weak_interaction(), n_pairs=500, seed=1)
     assert k == pytest.approx(0.25, abs=1e-12)
+
+
+def lipschitz_one_shot(model, n_pairs, seed):
+    # estimate_lipschitz before it sampled in blocks: every pair at once
+    floor = model.valid_region.min_mass
+    floor = floor + 0.005 if floor > 0 else 0.0
+    mus = rng.random_measures(seed, n_pairs, model.d, floor=floor)
+    nus = rng.random_measures(seed, n_pairs, model.d, floor=floor, rep=1)
+    num = np.abs(model.rates(mus) - model.rates(nus)).sum(axis=-1).max(axis=-1)
+    den = np.abs(mus - nus).sum(axis=-1)
+    keep = den > 1e-9
+    return float(np.max(num[keep] / den[keep]))
+
+
+@pytest.mark.parametrize("n_pairs", [1, MARGIN_ROWS, MARGIN_ROWS + 1, 2500])
+@pytest.mark.parametrize("model", [example_slow_conv(), example_chaos()],
+                         ids=["slow_conv", "chaos"])
+def test_estimate_lipschitz_blocks_equal_one_shot(model, n_pairs):
+    assert (estimate_lipschitz(model, n_pairs=n_pairs, seed=4)
+            == lipschitz_one_shot(model, n_pairs, 4))
+
+
+def test_estimate_lipschitz_memory_does_not_grow_with_pairs():
+    model = example_slow_conv()
+    estimate_lipschitz(model, n_pairs=10)                       # warm-up
+
+    def peak(n_pairs):
+        tracemalloc.start()
+        try:
+            estimate_lipschitz(model, n_pairs=n_pairs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # all 50 000 pairs at once would hold several MiB of measures and rates
+    assert peak(50_000) <= peak(2_000) + 64 * 1024
 
 
 # --- 4-state model ----------------------------------------------------------

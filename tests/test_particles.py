@@ -236,6 +236,32 @@ def test_mc_moments_chunked_matches_direct():
         mc_moments(values, 0)
 
 
+def test_mc_moments_squares_only_chunks_it_owns():
+    # a view of the caller's array is never written; a fresh chunk is
+    # squared in place, with the same bits, so one chunk-sized array is live
+    v = np.random.default_rng(5).normal(size=(12001, 3))
+    keep = v.copy()
+    by_view = mc_moments(lambda lo, hi: v[lo:hi], 12001)    # in this process
+    assert np.array_equal(v, keep)
+    by_copy = mc_moments(lambda lo, hi: v[lo:hi].copy(), 12001)
+    assert all(np.array_equal(a, b) for a, b in zip(by_view, by_copy))
+    frozen = v[:100].copy()
+    frozen.flags.writeable = False                # owned, but read-only
+    assert all(np.array_equal(a, b) for a, b in
+               zip(mc_moments(lambda lo, hi: frozen, 100),
+                   mc_moments(lambda lo, hi: v[lo:hi], 100)))
+    assert np.array_equal(frozen, keep[:100])
+
+    chunk_bytes = 5000 * 81 * 8
+    tracemalloc.start()
+    try:
+        mc_moments(lambda lo, hi: np.ones((hi - lo, 81)), 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunk_bytes <= peak < 1.5 * chunk_bytes
+
+
 def test_mc_moments_needs_two_replications():
     # one replication has no standard error; it used to report 0
     def values(lo, hi):

@@ -96,3 +96,10 @@ def test_random_measures_rep_streams_differ():
     a = rng.random_measures(3, 50, 3, rep=0)
     b = rng.random_measures(3, 50, 3, rep=1)
     assert not np.allclose(a, b)
+
+
+def test_random_measures_blocks_equal_one_draw():
+    whole = rng.random_measures(3, 2500, 4, floor=0.02, rep=1)
+    for start, n in ((0, 1), (0, 1024), (1024, 1), (1025, 1475), (7, 993)):
+        block = rng.random_measures(3, n, 4, floor=0.02, rep=1, start=start)
+        assert np.array_equal(block, whole[start:start + n])
