@@ -16,6 +16,11 @@ in ROOT, and each round alternates which root goes first.  Measurements:
   kernel            events / s of one gillespie_batch call at N = 8, 64, 256:
                     5000 rows of weak_interaction from (0.9, 0.1) on the
                     81-point grid [0, 20], one process;
+  count_chain       wall time (ms) of one particles.count_chain build at
+                    (d, N) = (2, 256) on weak_interaction, (3, 128) on a 3x3
+                    constant chain and (4, 64) on example_chaos, and a digest
+                    of the tables (lattice, inside, running, jump); a root
+                    without count_chain reports neither;
   initial_counts    wall time (ms) and tracemalloc peak (MiB) of one
                     initial_counts call at N = 8, 64, 256: R = 20000 starts
                     from (0.9, 0.1), seed 12345; the peak is a separate,
@@ -102,9 +107,6 @@ def flow(model):
         cfg = harness.load_config("configs/master_check.cfg")
         phi, step = harness.observable_from_config(cfg, model), harness.run_step(cfg)
         cases = harness.master_cases(cfg, model, 0)[0]
-        if hasattr(master, "PropagatedObservable"):   # a root whose scan takes one
-            return master.master_residual_scan(
-                master.PropagatedObservable(model, phi, step=step), cases)
         return master.master_residual_scan(model, phi, cases, step=step)
     dec = estimate_decay(model, seed=0)
     return np.concatenate([[dec["lambda"], dec["c2"]], dec["per_sample_rates"]])
@@ -138,6 +140,20 @@ def measure_kernel():
         counts.append(res["lattice"][res["states"]])       # (R, T, d)
     return rate, {"digest": digest(*counts)}
 
+def measure_chain():
+    if not hasattr(particles, "count_chain"):        # a root from before count_chain
+        return {}, {}
+    Q3 = np.array([[-1.0, 0.7, 0.3], [0.2, -0.5, 0.3], [1.0, 1.0, -2.0]])
+    particles.count_chain(models.weak_interaction(), 8)               # warm-up
+    ms, tables = {}, []
+    for model, N in ((models.weak_interaction(), 256), (models.constant(Q3), 128),
+                     (models.example_chaos(), 64)):
+        t0 = time.perf_counter()
+        chain = particles.count_chain(model, N)
+        ms[f"build_ms_d{model.d}_N{N}"] = 1e3 * (time.perf_counter() - t0)
+        tables += [chain[k] for k in ("lattice", "inside", "running", "jump")]
+    return ms, {"digest": digest(*tables)}
+
 def measure_init():
     import tracemalloc
     particles.initial_counts([0.9, 0.1], 8, 50, 1)                   # warm-up
@@ -167,6 +183,7 @@ def measure_mc_grid(threads):
     return {"wall_s": wall}, {"identical_to_results": same, "digest": digest(*csvs)}
 
 times, facts = (measure_kernel() if name == "kernel" else
+                measure_chain() if name == "count_chain" else
                 measure_init() if name == "initial_counts" else
                 measure_mc_grid(name[8:]) if name.startswith("mc_grid_") else measure_flow())
 print(json.dumps({"times": times, "facts": facts}))
@@ -174,7 +191,7 @@ print(json.dumps({"times": times, "facts": facts}))
 
 MEASUREMENTS = ("solve_slow_conv", "decay_weak_interaction",
                 "decay_example_slow_conv", "decay_example_non_erg", "master_scan",
-                "kernel", "initial_counts", "mc_grid_1", "mc_grid_2", "peak_rss")
+                "kernel", "count_chain", "initial_counts", "mc_grid_1", "mc_grid_2", "peak_rss")
 STUDIES = (("run_weak_error.sh", "weak_error"),
            ("run_stationary_gap.sh", "stationary_gap"))
 

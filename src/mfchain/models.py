@@ -133,8 +133,8 @@ def estimate_lipschitz(model: Model, n_pairs: int = 10_000, seed: int = 0) -> fl
 
     max over random pairs of |alpha(mu) - alpha(nu)|_rsa / |mu - nu|_1 where
     |.|_rsa is the maximum absolute row sum.  A sampled value slightly
-    under-estimates the true constant, which is the conservative direction
-    for the K < L/d certificate (harder to pass, never falsely passes).
+    under-estimates the true constant, the lenient direction for the K < L/d
+    certificate: a smaller K passes it more easily, and may pass it falsely.
     The pairs are drawn and compared MARGIN_ROWS at a time, so memory does
     not grow with n_pairs; a maximum over blocks is the maximum over all.
     """

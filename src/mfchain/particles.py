@@ -13,12 +13,12 @@ direct (Gillespie) method:
   * waiting time       Exp(1) / Lambda,
   * transition         the first pair whose running total reaches u Lambda.
 
-These depend only on the lattice point, so each gillespie_batch call
-tabulates them once: one model.rates call on every point inside the valid
-region gives each point's running totals and Lambda, beside its region flag,
-phi (in phi mode) and the point each pair's jump leads to.  An event is then
-a few table lookups.  Lattices above simplex.MAX_LATTICE points are
-refused, and so are NaN, infinite or negative off-diagonal rates.
+These depend only on the lattice point; count_chain, the one source of the
+chain's tables, tabulates them: one model.rates call on the points inside
+the valid region gives each point's running totals and Lambda, region flag
+and jump targets, and it refuses lattices above MAX_LATTICE points and NaN,
+infinite or negative rates.  gillespie_batch builds the tables once a call
+(and phi on them in phi mode), so an event is a few table lookups.
 Replications run in lockstep as batched array rows, each driven by its own
 counter-based random stream, so results are independent of batching,
 chunking, and worker count.
@@ -50,7 +50,6 @@ weak-error both call it.  Results are plain arrays: simulate returns
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -108,6 +107,52 @@ def initial_counts(mu0, N: int, R: int, seed: int) -> np.ndarray:
     return sample_initial(mu0, N, seed, np.arange(R, dtype=np.uint64))
 
 
+def count_chain(model: Model, N: int) -> dict:
+    """The N-particle chain of model on the count lattice, as tables.
+
+    The off-diagonal pairs p = (x, y) run in row-major order, P = d(d-1) of
+    them; pair p moves one particle from x to y at rate k_x * alpha_xy(k/N).
+    Returns a dict of arrays over the S = C(N + d - 1, d - 1) points k of
+    count_lattice(model.d, N):
+
+      lattice  (S, d) int32, the points;
+      inside   (S,) bool, k/N within model.valid_region;
+      running  (S, P) float, stored column by column: the pair rates'
+               running totals summed left to right, so its last column is
+               the total rate lambda; 0 outside the region (no rates there);
+      jump     (S, P) int64, the point that pair p leads to (the point itself
+               where k_x = 0, whose rate is 0).
+
+    One model.rates call on the points inside the region gives every rate.
+    Lattices above simplex.MAX_LATTICE points are refused before that call,
+    and NaN, infinite or negative off-diagonal rates after it.
+    """
+    d = model.d
+    S = check_lattice(N, d)
+    lattice = count_lattice(d, N)
+    mu = lattice / N
+    inside = model.valid_region.contains(mu)
+    A = np.zeros((S, d, d))
+    A[inside] = model.rates(mu[inside])
+    # a NaN or infinite rate would keep a row from ever crossing a grid time
+    ok = ((A >= 0.0) & (A < np.inf)) | np.eye(d, dtype=bool)
+    if not ok.all():
+        bad = int(np.argmin(ok.all(axis=(1, 2))))
+        raise InputError(f"model {model.name!r} at {mu[bad].tolist()}: need"
+                         f" finite off-diagonal rates >= 0, got"
+                         f" {A[bad].tolist()}")
+    xs, ys = np.nonzero(~np.eye(d, dtype=bool))
+    running = np.cumsum(lattice.T[xs] * A[:, xs, ys].T, axis=0).T
+    jump = np.repeat(np.arange(S), len(xs)).reshape(S, -1)
+    for p, (x, y) in enumerate(zip(xs, ys)):
+        can = lattice[:, x] > 0
+        k = lattice[can]
+        k[:, x] -= 1
+        k[:, y] += 1
+        jump[can, p] = lattice_index(k)
+    return dict(lattice=lattice, inside=inside, running=running, jump=jump)
+
+
 @np.errstate(divide="ignore", invalid="ignore")     # dead rows, see below
 def gillespie_batch(
     model: Model,
@@ -133,8 +178,14 @@ def gillespie_batch(
     the lattice or None, "phi_avg": (R,) or None, "events": (R,) int64 event
     counts within the horizon}; lattice[states] are the recorded counts.
     """
-    counts = np.array(counts0, dtype=np.int64)
-    R, d = counts.shape
+    raw = np.asarray(counts0)
+    if raw.ndim != 2 or raw.shape[1] != model.d:
+        raise InputError(f"counts0 needs d = {model.d} counts a row for model"
+                         f" {model.name!r}, got shape {raw.shape}")
+    counts = raw.astype(np.int64)
+    if not np.array_equal(counts, raw):
+        raise InputError("counts0 must hold integer counts")
+    R = len(counts)
     if R == 0:
         raise InputError("need at least one replication in counts0")
     Ns = counts.sum(axis=1)
@@ -161,38 +212,13 @@ def gillespie_batch(
     reps_arr = np.atleast_1d(np.asarray(reps, dtype=np.uint64))
     if len(reps_arr) != R:
         raise InputError("reps must match the number of rows in counts0")
-    S = check_lattice(N, d)
-
-    # per lattice state: the region flag, the pair weights' running totals
-    # (rates only where the region holds), their total lambda, phi, and the
-    # state each pair's jump leads to (itself where count_x = 0: unread)
-    lattice = count_lattice(d, N)
-    mu = lattice / N
-    inside = model.valid_region.contains(mu)
+    chain = count_chain(model, N)
+    lattice, inside, jump = chain["lattice"], chain["inside"], chain["jump"]
     check_region = not inside.all()
-    A = np.zeros((S, d, d))
-    A[inside] = model.rates(mu[inside])
-    # a NaN or infinite rate would keep a row from ever crossing a grid time
-    ok = ((A >= 0.0) & (A < np.inf)) | np.eye(d, dtype=bool)
-    if not ok.all():
-        bad = int(np.argmin(ok.all(axis=(1, 2))))
-        raise InputError(f"model {model.name!r} at {mu[bad].tolist()}: need"
-                         f" finite off-diagonal rates >= 0, got"
-                         f" {A[bad].tolist()}")
-    pairs = [(x, y) for x in range(d) for y in range(d) if x != y]
-    running = list(accumulate(lattice[:, x] * A[:, x, y] for x, y in pairs))
-    lam, below = running[-1], running[:-1]
+    lam, below = chain["running"][:, -1], list(chain["running"].T[:-1])
     any_dead = bool(np.any(lam[inside] <= 0.0))
-    phi_at = phi(mu) if phi is not None else None
-    P = len(pairs)
-    jump = np.repeat(np.arange(S), P).reshape(S, P)
-    for p, (x, y) in enumerate(pairs):
-        can = lattice[:, x] > 0
-        k = lattice[can]
-        k[:, x] -= 1
-        k[:, y] += 1
-        jump[can, p] = lattice_index(k)
-    jump = jump.ravel()                         # state s, pair j: s * P + j
+    phi_at = phi(lattice / N) if phi is not None else None
+    P, jump = jump.shape[1], jump.ravel()       # state s, pair j: s * P + j
 
     T = len(times) if times is not None else 0
     times_ext = (

@@ -41,3 +41,14 @@ def test_peak_rss_child_reports_certify_and_simulate():
     assert rec["facts"]["exit_codes"] == [2, 0]
     certify, simulate = rec["times"]["certify_mb"], rec["times"]["simulate_mb"]
     assert 0 < certify <= simulate
+
+
+def test_count_chain_child_pins_the_tables():
+    # the digest of the lattice, region flags, running totals and jump
+    # table at (d, N) = (2, 256), (3, 128) and (4, 64), as the kernel's
+    # inline pair-by-pair construction gave them
+    rec = load_bench().child(str(ROOT), "count_chain")
+    assert rec["facts"]["digest"] == "275e05f959f61565"
+    assert sorted(rec["times"]) == ["build_ms_d2_N256", "build_ms_d3_N128",
+                                    "build_ms_d4_N64"]
+    assert all(ms > 0 for ms in rec["times"].values())

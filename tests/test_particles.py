@@ -1,5 +1,6 @@
 import hashlib
 import multiprocessing
+from itertools import accumulate
 import pickle
 import tracemalloc
 
@@ -14,6 +15,7 @@ from mfchain.models import (Model, ValidRegion, constant, example_chaos,
 from mfchain.particles import (
     CHUNK,
     INIT_BLOCK,
+    count_chain,
     gillespie_batch,
     initial_counts,
     mc_moments,
@@ -22,7 +24,7 @@ from mfchain.particles import (
     sample_initial,
     simulate,
 )
-from mfchain.simplex import MAX_LATTICE
+from mfchain.simplex import MAX_LATTICE, count_lattice, lattice_index
 from conftest import BAD_GRIDS
 
 SYM2 = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -368,6 +370,22 @@ def test_input_validation():
     with pytest.raises(InputError, match="nonnegative"):
         gillespie_batch(constant(SYM2), np.array([[-1, 11]]), 0, np.arange(1),
                         times=np.array([0.0, 1.0]))
+    # a fractional count used to be truncated: [[2.5, 5.5]] ran as N = 7 with
+    # counts [2, 5]; integral floats are counts
+    with pytest.raises(InputError, match="integer counts"):
+        gillespie_batch(weak_interaction(), [[2.5, 5.5]], 1, [0], times=[0, 1])
+    as_floats = gillespie_batch(weak_interaction(), [[2.0, 5.0]], 1, [0],
+                                times=[0, 1])
+    as_ints = gillespie_batch(weak_interaction(), [[2, 5]], 1, [0],
+                              times=[0, 1])
+    assert np.array_equal(recorded(as_floats), recorded(as_ints))
+    # a row of the wrong width used to fail inside numpy ("shape mismatch:
+    # value array of shape (45,2,2) ..."); the refusal names both numbers
+    for bad, shape in (([[2, 5, 1]], r"\(1, 3\)"), ([2, 5], r"\(2,\)")):
+        with pytest.raises(InputError, match=r"needs d = 2 counts a row for"
+                                             r" model 'weak_interaction.*',"
+                                             r" got shape " + shape):
+            gillespie_batch(weak_interaction(), bad, 1, [0], times=[0, 1])
     with pytest.raises(ValueError, match="reps must match"):
         gillespie_batch(zero(2), np.array([[3, 7]]), 0, np.arange(2),
                         times=np.array([0.0, 1.0]))
@@ -530,21 +548,32 @@ def test_kernel_bits_pinned_beyond_two_states(case, mode):
     assert calls[0] == 1
 
 
-def test_lattice_above_max_refused_before_any_rates_call():
+# the two table-building entry points: the kernel in either mode (one
+# replication from counts0) and count_chain at counts0's total
+BUILDS = {
+    "grid": lambda model, counts0: gillespie_batch(
+        model, counts0, 0, np.arange(1), times=np.array([0.0, 1.0])),
+    "phi": lambda model, counts0: gillespie_batch(
+        model, counts0, 0, np.arange(1), phi=lambda m: m[..., 0], end=1.0),
+    "count_chain": lambda model, counts0: count_chain(
+        model, int(np.sum(counts0))),
+}
+
+
+@pytest.mark.parametrize("build", sorted(BUILDS))
+def test_lattice_above_max_refused_before_any_rates_call(build):
     # d = 4 and N = 200: C(203, 3) = 1 373 701 states
     model, calls = counted_rates(constant(np.ones((4, 4)) - 4 * np.eye(4)))
     assert 1_373_701 > MAX_LATTICE
-    for kw in ({"times": np.array([0.0, 1.0])},
-               {"phi": lambda m: m[..., 0], "end": 1.0}):
-        with pytest.raises(InputError, match="1373701 states, more than"
-                                             " MAX_LATTICE"):
-            gillespie_batch(model, np.array([[50, 50, 50, 50]]), 0,
-                            np.arange(1), **kw)
+    with pytest.raises(InputError, match="1373701 states, more than"
+                                         " MAX_LATTICE"):
+        BUILDS[build](model, np.array([[50, 50, 50, 50]]))
     assert calls[0] == 0
 
 
+@pytest.mark.parametrize("build", sorted(BUILDS))
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_nan_or_infinite_rate_refused_before_any_event(bad):
+def test_nan_or_infinite_rate_refused_before_any_event(bad, build):
     # alpha_12 is bad for mu_1 > 0.7, a state the chain starting from (8, 2)
     # is already in; a NaN total rate used to keep the row from ever
     # crossing a grid time, so the kernel ran until killed
@@ -554,9 +583,121 @@ def test_nan_or_infinite_rate_refused_before_any_event(bad):
         return A
 
     model = Model(name="bad_rate", d=2, rates=rates)
-    for kw in ({"times": np.array([0.0, 1.0])},
-               {"phi": lambda m: m[..., 0], "end": 1.0}):
-        with pytest.raises(InputError, match=r"model 'bad_rate' at \[0\.8,"
-                                             r" 0\.2\]: need finite"
-                                             r" off-diagonal rates >= 0"):
-            gillespie_batch(model, np.array([[8, 2]]), 0, np.arange(1), **kw)
+    with pytest.raises(InputError, match=r"model 'bad_rate' at \[0\.8,"
+                                         r" 0\.2\]: need finite"
+                                         r" off-diagonal rates >= 0"):
+        BUILDS[build](model, np.array([[8, 2]]))
+
+
+def reference_chain(model, N):
+    """count_chain's tables as gillespie_batch built them inline, one pair
+    at a time: the running totals by itertools.accumulate over the pairs."""
+    d = model.d
+    lattice = count_lattice(d, N)
+    S = len(lattice)
+    mu = lattice / N
+    inside = model.valid_region.contains(mu)
+    A = np.zeros((S, d, d))
+    A[inside] = model.rates(mu[inside])
+    pairs = [(x, y) for x in range(d) for y in range(d) if x != y]
+    running = list(accumulate(lattice[:, x] * A[:, x, y] for x, y in pairs))
+    jump = np.repeat(np.arange(S), len(pairs)).reshape(S, len(pairs))
+    for p, (x, y) in enumerate(pairs):
+        can = lattice[:, x] > 0
+        k = lattice[can]
+        k[:, x] -= 1
+        k[:, y] += 1
+        jump[can, p] = lattice_index(k)
+    return {"lattice": lattice, "inside": inside,
+            "running": np.column_stack(running), "jump": jump}
+
+
+CHAINS = {
+    "weak_interaction": (weak_interaction(), 8),
+    "constant_3": (constant(np.array([[-1.0, 0.7, 0.3], [0.2, -0.5, 0.3],
+                                      [1.0, 1.0, -2.0]])), 12),
+    "chaos": (example_chaos(), 20),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAINS))
+def test_count_chain_equals_the_pairwise_reference(case):
+    model, N = CHAINS[case]
+    chain, ref = count_chain(model, N), reference_chain(model, N)
+    assert sorted(chain) == sorted(ref)
+    for key in ref:
+        assert chain[key].dtype == ref[key].dtype and \
+            chain[key].shape == ref[key].shape, key
+        assert (np.ascontiguousarray(chain[key]).tobytes()
+                == ref[key].tobytes()), key
+    S, P = chain["jump"].shape
+    assert P == model.d * (model.d - 1) and S == len(chain["lattice"])
+    if case == "chaos":
+        # the region flag holds at some points only; outside it no rate
+        # was evaluated and every total is 0
+        inside = chain["inside"]
+        assert 0 < inside.sum() < S
+        assert np.all(chain["running"][~inside] == 0.0)
+        assert np.all(chain["running"][inside, -1] > 0.0)
+
+
+def generator(chain):
+    """The dense (S, S) generator of a count_chain: pair p's rate is the
+    step of the running totals at p, moved to its jump target, and each
+    diagonal entry is minus lambda."""
+    running = chain["running"]
+    S, P = running.shape
+    w = np.diff(running, axis=1, prepend=0.0)
+    Q = np.zeros((S, S))
+    np.add.at(Q, (np.repeat(np.arange(S), P), chain["jump"].ravel()),
+              w.ravel())
+    return Q - np.diag(running[:, -1]), w
+
+
+@pytest.mark.parametrize("case", sorted(CHAINS))
+def test_count_chain_generator_rows_sum_to_zero(case):
+    model, N = CHAINS[case]
+    chain = count_chain(model, N)
+    Q, w = generator(chain)
+    lam = chain["running"][:, -1]
+    S = len(lam)
+    # a pair that leads back to its own point has rate exactly 0, so the
+    # off-diagonal entries carry every rate: the exit rates are lambda
+    own = chain["jump"] == np.arange(S)[:, None]
+    assert np.all(w[own] == 0.0) and np.all(w >= 0.0)
+    off = Q - np.diag(np.diag(Q))
+    assert np.allclose(off.sum(axis=1), lam, rtol=1e-13, atol=0.0)
+    assert np.all(np.abs(Q.sum(axis=1)) <= 1e-13 * np.maximum(lam, 1.0))
+    assert np.array_equal(-np.diag(Q), lam)
+
+
+def test_count_chain_generator_carries_the_marginal_law():
+    # N independent particles of a constant chain: the mean empirical
+    # measure of the count chain's law at t is mu0 expm(A t) exactly
+    model, N = CHAINS["constant_3"]
+    chain = count_chain(model, N)
+    Q, _ = generator(chain)
+    mu0, t = np.array([0.5, 0.25, 0.25]), 0.7
+    start = lattice_index((mu0 * N).astype(int))
+    law = expm(Q * t)[start]
+    A = model.rates(mu0)
+    assert law.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(law @ chain["lattice"] / N, mu0 @ expm(A * t),
+                       rtol=0.0, atol=1e-12)
+
+
+def test_count_chain_points_without_x_jump_to_themselves():
+    model, N = CHAINS["chaos"]
+    chain = count_chain(model, N)
+    lattice, jump = chain["lattice"], chain["jump"]
+    S, P = jump.shape
+    xs, ys = np.nonzero(~np.eye(model.d, dtype=bool))
+    empty = lattice[:, xs] == 0                     # (S, P): k_x = 0
+    assert empty.any() and not empty.all()
+    stay = np.broadcast_to(np.arange(S)[:, None], (S, P))
+    assert np.array_equal(jump[empty], stay[empty])
+    # elsewhere pair (x, y) moves one particle from x to y
+    moved = lattice[jump] - lattice[:, None, :]     # (S, P, d)
+    step = np.eye(model.d, dtype=int)[ys] - np.eye(model.d, dtype=int)[xs]
+    assert np.array_equal(moved[~empty],
+                          np.broadcast_to(step, (S, P, model.d))[~empty])
