@@ -13,7 +13,9 @@ rerun of the same invocation reproduces the output byte for byte (worker
 count and output directory are excluded from the echo for that reason).
 
 Exit codes: 0 pass/conclusive, 1 error, 2 inconclusive (with an R estimate
-to become conclusive), 3 certified failure (a definite counterexample).
+to become conclusive), 3 a definite counterexample (from certify: a lattice
+point where condition 2 fails, which refutes that sufficient condition, not
+ergodicity).
 """
 
 from __future__ import annotations

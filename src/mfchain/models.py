@@ -132,9 +132,10 @@ def estimate_lipschitz(model: Model, n_pairs: int = 10_000, seed: int = 0) -> fl
     """Sampled L1 Lipschitz constant of alpha.
 
     max over random pairs of |alpha(mu) - alpha(nu)|_rsa / |mu - nu|_1 where
-    |.|_rsa is the maximum absolute row sum.  A sampled value slightly
-    under-estimates the true constant, the lenient direction for the K < L/d
-    certificate: a smaller K passes it more easily, and may pass it falsely.
+    |.|_rsa is the maximum absolute row sum.  A maximum over samples can
+    only under-estimate the true constant, the lenient direction for the
+    K < L/d certificate, so check_condition1 lets a sampled K refute it
+    (L/d - K <= 0 is a sound fail) but never pass it.
     The pairs are drawn and compared MARGIN_ROWS at a time, so memory does
     not grow with n_pairs; a maximum over blocks is the maximum over all.
     """

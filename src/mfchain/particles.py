@@ -50,6 +50,7 @@ weak-error both call it.  Results are plain arrays: simulate returns
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -77,8 +78,8 @@ def sample_initial(mu0, N: int, seed: int, reps) -> np.ndarray:
     O(len(reps) * d + INIT_BLOCK) for any N.
     """
     mu0 = as_measure(mu0)
-    if N < 1:
-        raise InputError(f"need N >= 1 particles, got {N}")
+    if not isinstance(N, Integral) or N < 1:
+        raise InputError(f"need an integer N >= 1 particles, got {N!r}")
     d = len(mu0)
     reps = np.asarray(reps, dtype=np.uint64)
     if reps.ndim != 1:
@@ -102,8 +103,9 @@ def sample_initial(mu0, N: int, seed: int, reps) -> np.ndarray:
 
 def initial_counts(mu0, N: int, R: int, seed: int) -> np.ndarray:
     """sample_initial of replications 0..R-1: (R, d)."""
-    if R < 1:
-        raise InputError(f"need at least one replication, got R = {R}")
+    if not isinstance(R, Integral) or R < 1:
+        raise InputError(f"need at least one replication (an integer"
+                         f" R >= 1), got R = {R!r}")
     return sample_initial(mu0, N, seed, np.arange(R, dtype=np.uint64))
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -149,11 +150,12 @@ def simpson_weights(n: int) -> np.ndarray:
 
 def check_lattice(n: int, d: int) -> int:
     """The number of points of count_lattice(d, n), C(n + d - 1, d - 1);
-    refuses n < 1 and lattices of more than MAX_LATTICE points, before
-    anything is allocated.  The particle kernel (n particles) and the
-    condition-2 scan (resolution n) call it."""
-    if n < 1:
-        raise InputError(f"need a lattice total n >= 1, got {n}")
+    refuses a non-integral n (numpy integers pass), n < 1 and lattices of
+    more than MAX_LATTICE points, before anything is allocated.  The
+    particle kernel (n particles) and the condition-2 scan (resolution n)
+    call it."""
+    if not isinstance(n, Integral) or n < 1:
+        raise InputError(f"need an integer lattice total n >= 1, got {n!r}")
     size = math.comb(n + d - 1, d - 1)
     if size > MAX_LATTICE:
         raise InputError(f"count_lattice(d = {d}, n = {n}) has {size} states,"

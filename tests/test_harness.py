@@ -827,6 +827,47 @@ def test_weak_error_refuses_uncertified(tmp_path, capsys):
     assert rep["certificates"]["certified"] is False
 
 
+def bump() -> models.Model:
+    """Two states, alpha_12 = 1 + 2 exp(-((mu_1 - 0.39) / 0.002)^2) and
+    alpha_21 = 1.  The narrow bump makes the drift bistable (stable rest
+    points near mu_1 = 0.3878 and 0.5), yet A's off-diagonal margin is
+    positive at every point of the default 51-point lattice."""
+    def p(u):
+        return 1.0 + 2.0 * np.exp(-((u - 0.39) / 0.002) ** 2)
+
+    def dp(u):
+        return -2.0 * (u - 0.39) / 0.002**2 * (p(u) - 1.0)
+
+    return models._two_state_poly("bump", p, dp, np.ones_like, np.zeros_like,
+                                  M=3.0, L=1.0)
+
+
+def test_bump_is_not_certified(tmp_path, capsys, monkeypatch):
+    # a positive lattice minimum is not a proof: bump's true minimum margin
+    # is about -202 at mu_1 = 0.3914, between the lattice points
+    monkeypatch.setitem(models._REGISTRY, "bump", bump)
+    assert main(["certify", "--model.name=bump", "--decay.horizon=5",
+                 "--out", str(tmp_path / "certify")]) == 2
+    rep = json.load(open(tmp_path / "certify" / "report.json"))
+    assert rep["condition1"]["verdict"] == "fail"
+    assert rep["condition2"]["verdict"] == "inconclusive"
+    assert rep["condition2"]["certification"] == "grid-scan"
+    assert rep["condition2"]["margin"] > 0
+    # a lattice fine enough to land on the dip refutes condition 2
+    fine = check_condition2(bump(), resolution=5000)
+    assert fine["verdict"] == "fail" and fine["margin"] < -200
+    assert fine["witness"]["mu"] == [0.3914, 0.6086]
+
+    args = ["weak-error", "--model.name=bump", "--observable.target=0.5,0.5",
+            "--init.mu=0.45,0.55", "--run.horizon=2", "--run.spacing=0.5",
+            "--run.R=100", "--run.Ns=8,16", "--decay.horizon=5",
+            "--out", str(tmp_path / "refused")]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert "certificate" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "refused" / "report.json")
+
+
 def test_weak_error_thread_and_rerun_identity(tmp_path):
     base = ["weak-error", "--model.name=weak_interaction",
             "--observable.target=0.5,0.5", "--init.mu=0.9,0.1",

@@ -222,6 +222,16 @@ def test_condition1_weak_interaction():
     assert rep["estimated_constants"] == {"L": 1.0, "K": 0.25}
 
 
+def test_condition1_sampled_margin_is_inconclusive():
+    # sampled K is a maximum over pairs, so it can only be too small: a
+    # positive sampled margin is not a proof
+    rep = check_condition1(dataclasses.replace(weak_interaction(), K=None))
+    assert rep["verdict"] == "inconclusive"
+    assert rep["certification"] == "sampled"
+    assert rep["margin"] > 0
+    assert rep["notes"] == "K estimated from 10000 sampled pairs"
+
+
 def test_condition1_non_erg_fails():
     rep = check_condition1(example_non_erg())
     assert rep["verdict"] == "fail"
@@ -245,10 +255,11 @@ def test_condition1_refuses_pairs_above_the_cap():
         check_condition1(example_slow_conv(), n_pairs=MAX_PAIRS + 1)
 
 
-def test_condition2_weak_interaction_certified():
+def test_condition2_weak_interaction_scan_is_inconclusive():
+    # a positive lattice minimum bounds nothing between the points
     rep = check_condition2(weak_interaction())
-    assert rep["verdict"] == "pass"
-    assert rep["certification"] == "grid-certified"
+    assert rep["verdict"] == "inconclusive"
+    assert rep["certification"] == "grid-scan"
     assert rep["margin"] == pytest.approx(1.0, abs=1e-9)
     assert rep["resolution"] == 50
 

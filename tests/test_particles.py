@@ -10,8 +10,9 @@ from scipy.linalg import expm
 
 from mfchain import rng
 from mfchain.errors import DomainExitError, InputError
+from mfchain.linearized import check_condition1, check_condition2
 from mfchain.models import (Model, ValidRegion, constant, example_chaos,
-                            weak_interaction, zero)
+                            example_slow_conv, weak_interaction, zero)
 from mfchain.particles import (
     CHUNK,
     INIT_BLOCK,
@@ -24,7 +25,8 @@ from mfchain.particles import (
     sample_initial,
     simulate,
 )
-from mfchain.simplex import MAX_LATTICE, count_lattice, lattice_index
+from mfchain.simplex import (MAX_LATTICE, check_lattice, count_lattice,
+                             lattice_index)
 from conftest import BAD_GRIDS
 
 SYM2 = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -354,6 +356,34 @@ def test_region_exit_same_for_any_worker_count():
         messages.append((str(exc.value), exc.value.time))
         assert multiprocessing.active_children() == []
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("call, match", [
+    # each used to truncate (R = 2.5 ran 3 replications, resolution 2.5
+    # scanned 2) or end in a raw TypeError
+    (lambda: check_lattice(2.5, 2), "lattice total"),
+    (lambda: count_chain(weak_interaction(), 2.5), "lattice total"),
+    (lambda: check_condition2(weak_interaction(), resolution=2.5),
+     "lattice total"),
+    (lambda: sample_initial([0.5, 0.5], np.float64(8.0), 0, [0]),
+     "integer N"),
+    (lambda: simulate(weak_interaction(), [0.5, 0.5], 7.5, [0.0, 1.0], 0),
+     "integer N"),
+    (lambda: initial_counts([0.5, 0.5], 8, 2.5, 0), "integer R"),
+    (lambda: check_condition1(example_slow_conv(), n_pairs=2.5),
+     "integer 1 <= n_pairs"),
+], ids=["check_lattice", "count_chain", "check_condition2", "sample_initial",
+        "simulate", "initial_counts", "check_condition1"])
+def test_non_integral_sizes_are_refused(call, match):
+    with pytest.raises(InputError, match=match):
+        call()
+
+
+def test_numpy_integer_sizes_pass():
+    assert check_lattice(np.int64(8), 2) == 9
+    assert len(initial_counts([0.5, 0.5], np.int64(8), np.int32(3), 0)) == 3
+    rep = check_condition2(weak_interaction(), resolution=np.int64(10))
+    assert rep["resolution"] == 10 and type(rep["resolution"]) is int
 
 
 def test_input_validation():
