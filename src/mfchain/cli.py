@@ -16,8 +16,9 @@ import os
 import sys
 from typing import Optional
 
-from .errors import InputError, MfchainError
-from .harness import COMMANDS, cfg_value, load_config, run_command
+from .errors import InputError, MfchainError, check_count
+from .harness import COMMANDS, cfg_value, integer, load_config, run_command
+from .rng import MASK64
 
 
 def parse_dotted(tokens: list) -> dict:
@@ -74,10 +75,14 @@ def main(argv: Optional[list] = None) -> int:
         overrides = parse_dotted(extra)
         cfg = load_config(args.config)
         cfg.update(overrides)
-        seed = args.seed if args.seed is not None else cfg_value(cfg, "run.seed", 0, int)
+        # a seed is an integer in [0, 2**64), as rng.stream_key takes it
+        seed = (cfg_value(cfg, "run.seed", 0, integer("seed", 0, MASK64))
+                if args.seed is None
+                else check_count(args.seed, "--seed", 0, MASK64))
+        threads = check_count(args.threads, "--threads")
         out = args.out if args.out else os.path.join("mfchain_out", args.command)
         return run_command(args.command, cfg, out, seed,
-                           threads=args.threads, force=args.force)
+                           threads=threads, force=args.force)
     except MfchainError as exc:
         print(f"mfchain: error: {exc}", file=sys.stderr)
         return 1

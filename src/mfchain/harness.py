@@ -32,7 +32,7 @@ except ImportError:                     # a CPython built without it
 import numpy as np
 
 from . import __version__, rng
-from .errors import DomainExitError, InputError
+from .errors import DomainExitError, InputError, check_count
 from .kolmogorov import (
     DEFAULT_STEP,
     make_grid,
@@ -110,10 +110,15 @@ def checked(cast: Callable, ok: Callable, need: str) -> Callable:
     return parse
 
 
+def integer(name: str, lo: int = 1, hi: Optional[int] = None) -> Callable:
+    """The parse of an integer in [lo, hi]: int(raw), checked by
+    errors.check_count under name, the library's name for the value."""
+    return lambda raw: check_count(int(raw), name, lo, hi)
+
+
 POSITIVE = checked(float, lambda v: 0 < v < np.inf, "a finite value > 0")
 NONNEGATIVE = checked(float, lambda v: 0 <= v < np.inf, "a finite value >= 0")
-COUNT = checked(int, lambda n: n >= 1, "an integer >= 1")
-REPLICATIONS = checked(int, lambda R: R >= 2, "R >= 2 for a standard error")
+REPLICATIONS = integer("R", 2)                  # a standard error needs two
 
 
 def lattice_totals(d: int, single: bool = False) -> Callable:
@@ -231,7 +236,7 @@ def master_cases(cfg: dict, model: Model, seed: int) -> tuple:
     with a time uniform on [master.tmin, master.tmax] from the seed's scan
     stream.  master.tmin must exceed the residual stencil's width.
     """
-    n = cfg_value(cfg, "master.cases", 100, COUNT)
+    n = cfg_value(cfg, "master.cases", 100, integer("cases"))
     tmin = cfg_value(cfg, "master.tmin", 0.5, checked(
         float, lambda t: DT_STENCIL < t < np.inf,
         f"a finite time > the residual stencil's width {DT_STENCIL}"))
@@ -245,10 +250,7 @@ def master_cases(cfg: dict, model: Model, seed: int) -> tuple:
     floor = max(floor, model.valid_region.min_mass + 0.01
                 if model.valid_region.min_mass > 0 else 0.0)
     mus = rng.random_measures(seed, n, model.d, floor=floor)
-    key = rng.domain_key(rng.stream_key(seed, 0), rng.DOMAIN_SCAN)
-    ts = tmin + (tmax - tmin) * rng.uniforms(
-        key, np.arange(n, dtype=np.uint64)
-    )
+    ts = tmin + (tmax - tmin) * rng.uniform_block(seed, 0, rng.DOMAIN_SCAN, 0, n)
     return [(float(ts[i]), mus[i]) for i in range(n)], [tmin, tmax]
 
 
@@ -257,8 +259,7 @@ def decay_settings(cfg: dict) -> dict:
     return {
         "horizon": cfg_value(cfg, "decay.horizon", 20.0, POSITIVE),
         "spacing": cfg_value(cfg, "decay.spacing", 0.25, POSITIVE),
-        "n_random": cfg_value(cfg, "decay.random", 8,
-                              checked(int, lambda n: n >= 0, "an integer >= 0")),
+        "n_random": cfg_value(cfg, "decay.random", 8, integer("n_random", 0)),
         "step": run_step(cfg),
     }
 
@@ -269,9 +270,8 @@ def certify_settings(cfg: dict, model: Model) -> dict:
         "resolution": cfg_value(cfg, "certify.resolution",
                                 default_resolution(model.d),
                                 lattice_totals(model.d, single=True)),
-        "n_pairs": cfg_value(cfg, "certify.pairs", 10_000, checked(
-            int, lambda n: 1 <= n <= MAX_PAIRS,
-            f"an integer in [1, {MAX_PAIRS:,}]")),
+        "n_pairs": cfg_value(cfg, "certify.pairs", 10_000,
+                             integer("n_pairs", 1, MAX_PAIRS)),
         "decay": decay_settings(cfg),
     }
 
@@ -663,7 +663,7 @@ def run_simulate(cfg: dict, out: str, seed: int, threads: int = 1,
                  force: bool = False) -> dict:
     model = model_from_config(cfg)
     N = cfg_value(cfg, "run.N", 100, lattice_totals(model.d, single=True))
-    R = cfg_value(cfg, "run.R", 1, COUNT)
+    R = cfg_value(cfg, "run.R", 1, integer("R"))
     mu0 = initial_measure(cfg, model)
     times = run_grid(cfg)
     if R == 1:

@@ -33,13 +33,12 @@ record {"condition", "verdict" ("pass" | "fail" | "inconclusive"),
 
 from __future__ import annotations
 
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
 from . import rng
-from .errors import InputError
+from .errors import InputError, check_count
 from .kolmogorov import DEFAULT_STEP, make_grid, solve_flow
 from .models import (MARGIN_ROWS, MAX_PAIRS, Model, estimate_lipschitz,
                      margin_matrix)
@@ -106,8 +105,7 @@ def estimate_decay(
     "horizon", "note"}.  The horizon is the grid's last time, which may fall
     short of the horizon argument by less than one spacing.
     """
-    if n_random < 0:
-        raise InputError(f"need n_random >= 0 random probes, got {n_random}")
+    n_random = check_count(n_random, "n_random", 0)
     d = model.d
     floor = _probe_floor(model)
     samples = [barycenter(d)]
@@ -163,8 +161,7 @@ def nonlinear_contraction_rate(
     of the recording grid, at least two points).  Under exponential
     ergodicity the two agree.
     """
-    if n_pairs < 1:
-        raise InputError(f"need n_pairs >= 1 random pairs, got {n_pairs}")
+    n_pairs = check_count(n_pairs, "n_pairs")
     floor = _probe_floor(model)
     mus = rng.random_measures(seed, n_pairs, model.d, floor=floor)
     nus = rng.random_measures(seed, n_pairs, model.d, floor=floor, rep=1)
@@ -191,9 +188,7 @@ def check_condition1(
     is a maximum over pairs and a sampled L a minimum over measures, so the
     sampled margin L/d - K can only be too large: <= 0 is a sound "fail",
     > 0 only "inconclusive".  Only declared K and L can "pass"."""
-    if not isinstance(n_pairs, Integral) or not 1 <= n_pairs <= MAX_PAIRS:
-        raise InputError(f"need an integer 1 <= n_pairs <= {MAX_PAIRS:,},"
-                         f" got {n_pairs!r}")
+    n_pairs = check_count(n_pairs, "n_pairs", 1, MAX_PAIRS)
     notes = []
     K = model.K
     if K is None:

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .errors import InputError
+from .errors import InputError, check_count
 from .simplex import chord_derivative, simplex_lattice
 
 ROW_SUM_TOL = 1e-12       # |row sum| allowed per unit of the row's largest |rate|
@@ -137,8 +137,10 @@ def estimate_lipschitz(model: Model, n_pairs: int = 10_000, seed: int = 0) -> fl
     K < L/d certificate, so check_condition1 lets a sampled K refute it
     (L/d - K <= 0 is a sound fail) but never pass it.
     The pairs are drawn and compared MARGIN_ROWS at a time, so memory does
-    not grow with n_pairs; a maximum over blocks is the maximum over all.
+    not grow with n_pairs (an integer, 1..MAX_PAIRS); a maximum over blocks
+    is the maximum over all.
     """
+    n_pairs = check_count(n_pairs, "n_pairs", 1, MAX_PAIRS)
     floor = model.valid_region.min_mass
     floor = floor + 0.005 if floor > 0 else 0.0
     maxima = []
@@ -345,8 +347,7 @@ def constant(Q) -> Model:
 
 def zero(d: int = 2) -> Model:
     """Frozen dynamics: all rates identically zero."""
-    if not isinstance(d, numbers.Integral) or d < 2:
-        raise InputError("need an integer d >= 2")
+    d = check_count(d, "d", 2)
     m = constant(np.zeros((d, d)))
     return Model(
         name="zero",

@@ -50,13 +50,12 @@ weak-error both call it.  Results are plain arrays: simulate returns
 
 from __future__ import annotations
 
-from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import rng
-from .errors import DomainExitError, InputError, SolverError
+from .errors import DomainExitError, InputError, SolverError, check_count
 from .kolmogorov import as_grid
 from .models import Model
 from .simplex import as_measure, check_lattice, count_lattice, lattice_index
@@ -70,23 +69,22 @@ _WAIT_CAT = np.array([[0], [1]], dtype=np.uint64)    # draw offsets 2k, 2k + 1
 def sample_initial(mu0, N: int, seed: int, reps) -> np.ndarray:
     """Occupancy counts (len(reps), d) of iid mu0-distributed initial states.
 
-    reps is a 1-d array of replication indices.  Particle i of replication r
-    consumes draw i of the init domain of stream (seed, r), so the same
-    (seed, r, N) always yields the same configuration.  The draws are taken
+    reps is a 1-d integer array of replication indices.  Particle i of
+    replication r consumes draw i of the init domain of stream (seed, r), so
+    the same (seed, r, N) always yields the same configuration.  The draws are taken
     in blocks of particles across every row, at most INIT_BLOCK draws per
     block (one particle per block beyond INIT_BLOCK rows), so memory stays
     O(len(reps) * d + INIT_BLOCK) for any N.
     """
     mu0 = as_measure(mu0)
-    if not isinstance(N, Integral) or N < 1:
-        raise InputError(f"need an integer N >= 1 particles, got {N!r}")
+    N = check_count(N, "N")
     d = len(mu0)
-    reps = np.asarray(reps, dtype=np.uint64)
-    if reps.ndim != 1:
+    keys = rng.stream_key(seed, reps)
+    if keys.ndim != 1:
         raise InputError(f"reps must be a 1-d array of replication indices,"
-                         f" got shape {reps.shape}")
-    R = len(reps)
-    keys = rng.domain_key(rng.stream_key(seed, reps), rng.DOMAIN_INIT)[:, None]
+                         f" got shape {np.shape(reps)}")
+    R = len(keys)
+    keys = rng.domain_key(keys, rng.DOMAIN_INIT)[:, None]
     cdf = np.cumsum(mu0)
     cdf[-1] = 1.0
     offset = d * np.arange(R)[:, None]                  # row r's states
@@ -103,9 +101,7 @@ def sample_initial(mu0, N: int, seed: int, reps) -> np.ndarray:
 
 def initial_counts(mu0, N: int, R: int, seed: int) -> np.ndarray:
     """sample_initial of replications 0..R-1: (R, d)."""
-    if not isinstance(R, Integral) or R < 1:
-        raise InputError(f"need at least one replication (an integer"
-                         f" R >= 1), got R = {R!r}")
+    R = check_count(R, "R (replications)")
     return sample_initial(mu0, N, seed, np.arange(R, dtype=np.uint64))
 
 
@@ -211,8 +207,9 @@ def gillespie_batch(
         if not 0.0 <= burn < end:
             raise InputError("need 0 <= burn < end")
 
-    reps_arr = np.atleast_1d(np.asarray(reps, dtype=np.uint64))
-    if len(reps_arr) != R:
+    reps = np.atleast_1d(reps)
+    key = rng.stream_key(seed, reps)
+    if len(key) != R:
         raise InputError("reps must match the number of rows in counts0")
     chain = count_chain(model, N)
     lattice, inside, jump = chain["lattice"], chain["inside"], chain["jump"]
@@ -236,7 +233,7 @@ def gillespie_batch(
     # compact state of the active rows, in row order; every active row has
     # made `steps` events so far, so they share the draw counter 2 * steps
     row = np.arange(R)
-    key = rng.domain_key(rng.stream_key(seed, reps_arr), rng.DOMAIN_EVENTS)
+    key = rng.domain_key(key, rng.DOMAIN_EVENTS)
     s = lattice_index(counts)                   # lattice state
     t = np.zeros(R)
     ptr = np.zeros(R, dtype=np.int64)           # next grid index to write
@@ -259,7 +256,7 @@ def gillespie_batch(
         if check_region and not inside[s].all():
             bad = int(np.argmin(inside[s]))
             raise DomainExitError(
-                f"empirical measure of replication {int(reps_arr[row[bad]])}"
+                f"empirical measure of replication {int(reps[row[bad]])}"
                 f" left the valid region of {model.name!r} at t={t[bad]:.6g}",
                 time=float(t[bad]),
             )
@@ -396,9 +393,7 @@ def mc_moments(values: Callable[[int, int], np.ndarray], R: int,
     squared into a new array and never written; values must not return an
     array of its own that it keeps and reads again.
     """
-    if R < 2:
-        raise InputError(f"need at least two replications for a standard"
-                         f" error, got R = {R}")
+    R = check_count(R, "R (replications)", 2)      # for a standard error
 
     def sums(lo, hi):
         x = values(lo, hi)

@@ -6,6 +6,13 @@ bit-identical for a fixed master seed no matter how replications are
 chunked or scheduled across workers, and lets any single replication be
 replayed in isolation.
 
+Seeds are integers in [0, 2**64) and replication indices nonnegative
+integers (an integer dtype for an array of them).  stream_key refuses
+anything else with errors.check_count and check_indices, rather than
+truncate 2.7 to 2 or wrap -1 to 2**64 - 1, so each (seed, replication)
+pair names one stream, and distinct seeds name distinct streams of a
+replication.
+
 The construction is a SplitMix64-style hash chain on 64-bit counters::
 
     stream_key(seed, r)  = mix64((seed + 1) * PHI + (r + 1) * GAMMA)
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_count, check_indices
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -67,9 +74,10 @@ def mix64(x):
 
 
 def stream_key(seed: int, rep):
-    """Per-replication key.  ``rep`` may be an int or an integer array."""
-    s = np.uint64((int(seed) + 1) & MASK64)
-    r = np.asarray(rep, dtype=np.uint64)
+    """Per-replication key.  ``seed`` is an integer in [0, 2**64); ``rep`` a
+    nonnegative integer or an array of them of an integer dtype."""
+    s = np.uint64((check_count(seed, "seed", 0, MASK64) + 1) & MASK64)
+    r = check_indices(rep, "replication indices")
     with np.errstate(over="ignore"):
         mixed = s * PHI + (r + _ONE) * GAMMA
     out = mix64(mixed)
@@ -102,6 +110,9 @@ def uniforms(subkey, index):
 
 def uniform_block(seed: int, rep: int, domain: int, start: int, n: int):
     """Convenience: ``n`` consecutive uniforms of one stream/domain."""
+    rep = check_count(rep, "rep", 0, MASK64)        # one stream, not an array
+    start = check_count(start, "start", 0)
+    n = check_count(n, "n", 0)
     key = domain_key(stream_key(seed, rep), domain)
     return uniforms(key, np.arange(start, start + n, dtype=np.uint64))
 
@@ -116,6 +127,9 @@ def random_measures(seed: int, n: int, d: int, floor: float = 0.0, rep: int = 0,
     coordinate is at least ``floor``.  Each point is transformed on its own,
     so a sequence drawn in blocks equals the one drawn at once, bit for bit.
     """
+    n = check_count(n, "n", 0)
+    d = check_count(d, "d")
+    start = check_count(start, "start", 0)
     if not 0.0 <= floor * d < 1.0:
         raise InputError("floor must satisfy 0 <= floor*d < 1")
     u = uniform_block(seed, rep, DOMAIN_SCAN, start * d, n * d).reshape(n, d)

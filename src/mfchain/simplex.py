@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_count
 
 SUM_TOL = 1e-12
 
@@ -154,8 +153,7 @@ def check_lattice(n: int, d: int) -> int:
     more than MAX_LATTICE points, before anything is allocated.  The
     particle kernel (n particles) and the condition-2 scan (resolution n)
     call it."""
-    if not isinstance(n, Integral) or n < 1:
-        raise InputError(f"need an integer lattice total n >= 1, got {n!r}")
+    n = check_count(n, "lattice total n")
     size = math.comb(n + d - 1, d - 1)
     if size > MAX_LATTICE:
         raise InputError(f"count_lattice(d = {d}, n = {n}) has {size} states,"
@@ -207,8 +205,7 @@ def _choose(a: np.ndarray, m: int) -> np.ndarray:
 
 def simplex_lattice(d: int, resolution: int) -> np.ndarray:
     """All points of S_d with coordinates k/resolution, in lexicographic order."""
-    if resolution < 1:
-        raise InputError("resolution must be >= 1")
+    resolution = check_count(resolution, "resolution")
     return count_lattice(d, resolution) / resolution
 
 

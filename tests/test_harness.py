@@ -333,6 +333,17 @@ REFUSALS = [
     ("weak-error", f"{SMALL_WE} --init.mu=-0.5,1.5", "init.mu"),
     ("solve", "--model.name=", "model.name"),
     ("solve", f"{ERG} --run.seed=x", "run.seed"),
+    # seeds outside [0, 2**64) and fewer than one worker: each used to run,
+    # 2**64 with the draws of seed 0
+    ("certify", f"{ERG} --run.seed=-1", "run.seed"),
+    ("certify", f"{ERG} --run.seed=18446744073709551616", "run.seed"),
+    ("certify", f"{ERG} --seed -1", "need an integer 0 <= --seed"),
+    ("certify", f"{ERG} --seed 18446744073709551616",
+     "need an integer 0 <= --seed"),
+    ("simulate", "--config=CONFIGS/weak_error.cfg --run.N=8 --run.R=200"
+     " --threads -3", "need an integer --threads >= 1"),
+    ("simulate", f"{ERG} --run.R=5 --threads 0",
+     "need an integer --threads >= 1"),
 ]
 NO_WORK = ["stationary_distribution", "check_condition1", "check_condition2",
            "solve_flow", "solve_kolmogorov", "master_residual_scan",
@@ -367,6 +378,19 @@ def test_refusal_table_covers_every_config_key():
     refused = {refusal for _, _, refusal in REFUSALS}
     assert len(read) > 20
     assert read - refused == NO_REFUSAL
+
+
+def test_integers_are_checked_only_in_errors():
+    # a count check is errors.check_count, never one written by hand: no
+    # other module names numbers.Integral
+    for path in sorted((ROOT / "src" / "mfchain").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {getattr(node, "id", None) or getattr(node, "attr", None)
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        names |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert ("Integral" in names) == (path.name == "errors.py"), path.name
 
 
 def test_parse_dotted():
@@ -421,6 +445,29 @@ def test_cli_seed_resolution(tmp_path):
     assert main(["solve", "--config", str(cfgfile), "--out", out,
                  "--seed", "9"]) == 0
     assert json.load(open(os.path.join(out, "report.json")))["seed"] == 9
+    # the largest seed is 2**64 - 1
+    assert main(["solve", "--config", str(cfgfile), "--out", out,
+                 "--seed", str(2**64 - 1)]) == 0
+    assert json.load(open(os.path.join(out, "report.json")))["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["certify", "--model.name=weak_interaction", "--seed", "-1"], "--seed"),
+    (["certify", "--model.name=weak_interaction", "--seed", str(2**64)],
+     "--seed"),
+    (["simulate", "--config", str(ROOT / "configs" / "weak_error.cfg"),
+      "--run.N=8", "--run.R=200", "--threads", "-3"], "--threads"),
+])
+def test_cli_refuses_seeds_and_workers_by_flag(argv, flag, tmp_path):
+    # each of these ran and exited 0
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    res = subprocess.run([sys.executable, "-m", "mfchain", *argv, "--out",
+                          str(tmp_path / "o")], env=env, capture_output=True,
+                         text=True)
+    assert res.returncode == 1
+    assert res.stderr.startswith("mfchain: error: need an integer")
+    assert flag in res.stderr and res.stderr.count("\n") == 1
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_cli_simulate_outputs(tmp_path):

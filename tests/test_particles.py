@@ -10,9 +10,11 @@ from scipy.linalg import expm
 
 from mfchain import rng
 from mfchain.errors import DomainExitError, InputError
-from mfchain.linearized import check_condition1, check_condition2
-from mfchain.models import (Model, ValidRegion, constant, example_chaos,
-                            example_slow_conv, weak_interaction, zero)
+from mfchain.linearized import (check_condition1, check_condition2,
+                                estimate_decay, nonlinear_contraction_rate)
+from mfchain.models import (Model, ValidRegion, constant, estimate_lipschitz,
+                            example_chaos, example_slow_conv, weak_interaction,
+                            zero)
 from mfchain.particles import (
     CHUNK,
     INIT_BLOCK,
@@ -26,7 +28,7 @@ from mfchain.particles import (
     simulate,
 )
 from mfchain.simplex import (MAX_LATTICE, check_lattice, count_lattice,
-                             lattice_index)
+                             lattice_index, simplex_lattice)
 from conftest import BAD_GRIDS
 
 SYM2 = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -84,7 +86,7 @@ def test_initial_counts_match_one_batch_across_chunks(mu0, N, R):
     states = np.searchsorted(np.cumsum(mu0), u, side="left")
     assert np.array_equal(counts[rows],
                           [np.bincount(s, minlength=d) for s in states])
-    with pytest.raises(InputError, match="at least one replication"):
+    with pytest.raises(InputError, match=r"integer R \(replications\) >= 1"):
         initial_counts(mu0, N, 0, seed)
 
 
@@ -271,7 +273,7 @@ def test_mc_moments_needs_two_replications():
     def values(lo, hi):
         return np.array([1.0, 3.0])[lo:hi]
 
-    with pytest.raises(InputError, match="at least two replications"):
+    with pytest.raises(InputError, match=r"integer R \(replications\) >= 2"):
         mc_moments(values, 1)
     # sample variance over R - 1 = 1: (1 + 9 - 2 * 2^2) / 1 = 2
     assert mc_moments(values, 2) == (2.0, 1.0)
@@ -372,11 +374,69 @@ def test_region_exit_same_for_any_worker_count():
     (lambda: initial_counts([0.5, 0.5], 8, 2.5, 0), "integer R"),
     (lambda: check_condition1(example_slow_conv(), n_pairs=2.5),
      "integer 1 <= n_pairs"),
+    # these ended in a raw TypeError, estimate_lipschitz(n_pairs=0) in a raw
+    # ValueError, and random_measures(0, -1, 2) in an empty array
+    (lambda: estimate_decay(weak_interaction(), n_random=2.5),
+     "integer n_random >= 0"),
+    (lambda: nonlinear_contraction_rate(weak_interaction(), n_pairs=2.5),
+     "integer n_pairs >= 1"),
+    (lambda: estimate_lipschitz(weak_interaction(), n_pairs=2.5),
+     "integer 1 <= n_pairs"),
+    (lambda: estimate_lipschitz(weak_interaction(), n_pairs=0),
+     "integer 1 <= n_pairs"),
+    (lambda: rng.random_measures(0, 2.5, 2), "integer n >= 0"),
+    (lambda: rng.random_measures(0, -1, 2), "integer n >= 0"),
+    (lambda: mc_moments(lambda lo, hi: np.zeros(hi - lo), 2.5),
+     r"integer R \(replications\) >= 2"),
+    (lambda: simplex_lattice(2, 2.5), "integer resolution >= 1"),
+    (lambda: rng.uniform_block(0, 0, 2, 0.5, 3), "integer start >= 0"),
+    # an array of reps ended in a raw broadcasting ValueError
+    (lambda: rng.random_measures(0, 3, 2, rep=[0, 1]), "integer 0 <= rep"),
+    (lambda: zero(2.0), "integer d >= 2"),
 ], ids=["check_lattice", "count_chain", "check_condition2", "sample_initial",
-        "simulate", "initial_counts", "check_condition1"])
+        "simulate", "initial_counts", "check_condition1", "estimate_decay",
+        "nonlinear_contraction_rate", "estimate_lipschitz",
+        "estimate_lipschitz-0", "random_measures", "random_measures-negative",
+        "mc_moments", "simplex_lattice", "uniform_block",
+        "random_measures-reps", "zero"])
 def test_non_integral_sizes_are_refused(call, match):
     with pytest.raises(InputError, match=match):
         call()
+
+
+# seeds are integers in [0, 2**64) and replication indices nonnegative
+# integers: 2.7 used to draw as 2, -1 as 2**64 - 1 and 2**64 as 0, reps
+# [0.5] as [0], and reps [-1] ended in a raw OverflowError
+SEED_CALLS = {
+    "stream_key": lambda seed, reps: rng.stream_key(seed, reps),
+    "sample_initial": lambda seed, reps: sample_initial([0.5, 0.5], 4, seed,
+                                                        reps),
+    "gillespie_batch": lambda seed, reps: gillespie_batch(
+        weak_interaction(), [[2, 2]], seed, reps, times=[0.0, 1.0]),
+    "random_measures": lambda seed, reps: rng.random_measures(
+        seed, 2, 2, rep=reps[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_CALLS))
+@pytest.mark.parametrize("seed, reps, match", [
+    (2.7, [0], "integer 0 <= seed"),
+    (-1, [0], "integer 0 <= seed"),
+    (2**64, [0], "integer 0 <= seed"),
+    (np.float64(3.0), [0], "integer 0 <= seed"),
+    (0, [0.5], "integer (replication indices|0 <= rep)"),
+    (0, [-1], "integer (replication indices|0 <= rep)"),
+], ids=["fractional", "negative", "2**64", "float64", "fractional-rep",
+        "negative-rep"])
+def test_seeds_and_replication_indices_are_refused(name, seed, reps, match):
+    with pytest.raises(InputError, match=match):
+        SEED_CALLS[name](seed, reps)
+
+
+def test_seed_range_is_the_full_64_bits():
+    # distinct seeds name distinct streams of a replication, at both ends
+    keys = [rng.stream_key(s, 3) for s in (0, 1, 2**64 - 2, 2**64 - 1)]
+    assert len(set(int(k) for k in keys)) == 4
 
 
 def test_numpy_integer_sizes_pass():
@@ -384,6 +444,33 @@ def test_numpy_integer_sizes_pass():
     assert len(initial_counts([0.5, 0.5], np.int64(8), np.int32(3), 0)) == 3
     rep = check_condition2(weak_interaction(), resolution=np.int64(10))
     assert rep["resolution"] == 10 and type(rep["resolution"]) is int
+    # numpy sizes, seeds and replication indices give bitwise the outputs of
+    # Python ints
+    model, mu0, times = weak_interaction(), [0.6, 0.4], [0.0, 0.5, 1.0]
+    for i64 in (np.int64, np.uint64):
+        reps = np.arange(3).astype(i64)
+        assert np.array_equal(sample_initial(mu0, i64(9), i64(5), reps),
+                              sample_initial(mu0, 9, 5, [0, 1, 2]))
+        assert np.array_equal(initial_counts(mu0, i64(9), i64(3), i64(5)),
+                              initial_counts(mu0, 9, 3, 5))
+        a = gillespie_batch(model, [[4, 5]] * 3, i64(5), reps, times=times)
+        b = gillespie_batch(model, [[4, 5]] * 3, 5, [0, 1, 2], times=times)
+        assert all(np.array_equal(a[k], b[k]) for k in ("states", "events"))
+        assert rng.stream_key(i64(7), i64(2)) == rng.stream_key(7, 2)
+        assert np.array_equal(
+            rng.random_measures(i64(7), i64(4), i64(3), rep=i64(1),
+                                start=i64(2)),
+            rng.random_measures(7, 4, 3, rep=1, start=2))
+        assert np.array_equal(rng.uniform_block(i64(7), i64(1), 2, i64(3),
+                                                i64(5)),
+                              rng.uniform_block(7, 1, 2, 3, 5))
+        assert estimate_lipschitz(model, n_pairs=i64(40), seed=i64(2)) == \
+            estimate_lipschitz(model, n_pairs=40, seed=2)
+        assert np.array_equal(simplex_lattice(3, i64(4)),
+                              simplex_lattice(3, 4))
+        values = np.arange(10.0)
+        assert mc_moments(lambda lo, hi: values[lo:hi], i64(10)) == \
+            mc_moments(lambda lo, hi: values[lo:hi], 10)
 
 
 def test_input_validation():
